@@ -15,9 +15,7 @@ let () =
   let scenario =
     Lv_engine.Scenario.make ~problem:"magic-square" ~size ~runs ~seed:2024
       ~cores:[ 2; 4; 8; 16; 32; 64; 128; 256 ]
-      ~candidates:
-        (List.map Lv_core.Fit.candidate_name Lv_core.Fit.paper_candidates)
-      ()
+      ~candidates:Lv_core.Fit.paper_candidates ()
   in
   let outcome = Lv_engine.Engine.run scenario in
   let ds = outcome.Lv_engine.Engine.dataset in

@@ -67,7 +67,6 @@ val empty_report : report
     [report] fields cannot silently desync across call sites. *)
 
 val fit_one :
-  ?ctx:Lv_context.Context.t ->
   ?alpha:float ->
   ?telemetry:Lv_telemetry.Sink.t ->
   candidate ->
@@ -94,7 +93,6 @@ val censoring_warning : report -> string option
     are optimistic.  [None] below the threshold.  {!pp_report} prints it. *)
 
 val fit :
-  ?ctx:Lv_context.Context.t ->
   ?alpha:float ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
@@ -112,12 +110,7 @@ val fit :
     rather than the estimators themselves.  The whole run is wrapped in a
     ["fit"] telemetry span (sample size, censored count, pool size, number
     accepted); the per-candidate spans are emitted under the fixed path
-    ["fit/fit.candidate"] whatever worker they ran on.
-
-    [ctx] supplies [alpha], the pool, the telemetry sink and the candidate
-    pool (by canonical name — an unknown name raises [Invalid_argument])
-    when the corresponding explicit arguments are absent; see
-    {!Lv_context.Context}. *)
+    ["fit/fit.candidate"] whatever worker they ran on. *)
 
 val pp_fitted : Format.formatter -> fitted -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -11,7 +11,6 @@ type prediction = {
 }
 
 val of_dataset :
-  ?ctx:Lv_context.Context.t ->
   ?alpha:float ->
   ?candidates:Fit.candidate list ->
   ?pool:Lv_exec.Pool.t ->
@@ -27,14 +26,9 @@ val of_dataset :
     the fit emits its spans (see {!Fit.fit}) and the prediction wraps in a
     ["predict"] span containing one timed ["predict/predict.speedup"]
     event per core count (the quadrature cost of each {!Speedup.at}
-    evaluation), emitted under that fixed path whatever worker ran it.
-
-    [ctx] supplies the fit settings (alpha, candidate pool), the executor
-    and the telemetry sink when the explicit arguments are absent; see
-    {!Lv_context.Context}. *)
+    evaluation), emitted under that fixed path whatever worker ran it. *)
 
 val of_report :
-  ?ctx:Lv_context.Context.t ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
   label:string ->
@@ -48,7 +42,6 @@ val of_report :
     [Invalid_argument] on a report with no fits. *)
 
 val of_distribution :
-  ?ctx:Lv_context.Context.t ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
   label:string ->

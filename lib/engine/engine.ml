@@ -21,30 +21,10 @@ type outcome = {
   outputs : (string * string) list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Effective inputs: scenario field > context field > stage default.   *)
-(* The cache keys hash these, so a change in whichever source actually *)
-(* governs a stage recomputes it.                                      *)
-(* ------------------------------------------------------------------ *)
-
-let effective_budget (ctx : Ctx.t) (sc : Scenario.t) =
-  match (sc.Scenario.timeout, sc.Scenario.max_iters) with
-  | None, None -> (ctx.Ctx.max_seconds, ctx.Ctx.max_iterations)
-  | s, i -> (s, i)
-
-let effective_alpha (ctx : Ctx.t) (sc : Scenario.t) =
-  match sc.Scenario.alpha with Some a -> a | None -> ctx.Ctx.alpha
-
-let effective_candidates (ctx : Ctx.t) (sc : Scenario.t) =
-  match sc.Scenario.candidates with
-  | Some _ as c -> c
-  | None -> ctx.Ctx.candidates
-
 let opt_float = function Some v -> Printf.sprintf "%.17g" v | None -> "default"
 let opt_int = function Some v -> string_of_int v | None -> "default"
 
-let campaign_key ctx (sc : Scenario.t) =
-  let max_seconds, max_iterations = effective_budget ctx sc in
+let campaign_key (sc : Scenario.t) =
   Artifact.key ~stage:"campaign" ~seed:sc.Scenario.seed
     ~params:
       [
@@ -53,34 +33,37 @@ let campaign_key ctx (sc : Scenario.t) =
         ("runs", string_of_int sc.Scenario.runs);
         ("walk", opt_float sc.Scenario.walk);
         ("iteration_cap", opt_int sc.Scenario.iteration_cap);
-        ("timeout", opt_float max_seconds);
-        ("max_iters", opt_int max_iterations);
+        ("timeout", opt_float sc.Scenario.timeout);
+        ("max_iters", opt_int sc.Scenario.max_iters);
       ]
 
 let metric_name = function `Iterations -> "iterations" | `Seconds -> "seconds"
 
-let fit_key ctx (sc : Scenario.t) =
+let fit_key (sc : Scenario.t) =
   Artifact.key ~stage:"fit" ~seed:sc.Scenario.seed
     ~params:
       [
         (* The fit consumes the campaign's output, so its key embeds the
            campaign key: any upstream change invalidates the fit too. *)
-        ("campaign", campaign_key ctx sc);
+        ("campaign", campaign_key sc);
         ("metric", metric_name sc.Scenario.metric);
-        ("alpha", Printf.sprintf "%.17g" (effective_alpha ctx sc));
+        (* An absent alpha is the fit's default, 0.05. *)
+        ( "alpha",
+          Printf.sprintf "%.17g" (Option.value sc.Scenario.alpha ~default:0.05)
+        );
         ( "candidates",
-          match effective_candidates ctx sc with
+          match sc.Scenario.candidates with
           | None -> "all"
-          | Some names -> String.concat "," names );
+          | Some cs -> String.concat "," (List.map Fit.candidate_name cs) );
       ]
 
-let validate_key ctx (sc : Scenario.t) (cfg : Validate.config) =
+let validate_key (sc : Scenario.t) (cfg : Validate.config) =
   Artifact.key ~stage:"validate" ~seed:sc.Scenario.seed
     ~params:
       [
         (* Validation consumes the fit (and through it the campaign), so
            its key embeds the fit key. *)
-        ("fit", fit_key ctx sc);
+        ("fit", fit_key sc);
         ( "cores",
           String.concat "," (List.map string_of_int sc.Scenario.cores) );
         ("replicates", string_of_int cfg.Validate.replicates);
@@ -135,13 +118,13 @@ let save_campaign ~seed (c : Campaign.result) tmp =
             (Checkpoint.entry_of_observation ~run:i ~seed:(seed + i) o))
         c.Campaign.observations)
 
-let run_campaign ctx store (sc : Scenario.t) =
+let run_campaign (ctx : Ctx.t) store (sc : Scenario.t) =
   let params = Scenario.params sc in
-  let max_seconds, max_iterations = effective_budget ctx sc in
   let budget =
-    match (max_seconds, max_iterations) with
+    match (sc.Scenario.timeout, sc.Scenario.max_iters) with
     | None, None -> None
-    | s, i -> Some (Lv_multiwalk.Run.budget ?max_seconds:s ?max_iterations:i ())
+    | max_seconds, max_iterations ->
+      Some (Lv_multiwalk.Run.budget ?max_seconds ?max_iterations ())
   in
   let make =
     match Lv_problems.Registry.find sc.Scenario.problem with
@@ -152,12 +135,13 @@ let run_campaign ctx store (sc : Scenario.t) =
   and seed = sc.Scenario.seed
   and runs = sc.Scenario.runs in
   let execute ?checkpoint () =
-    Campaign.run ~ctx ~params ?budget ?checkpoint ~label ~seed ~runs make
+    Campaign.run ?pool:ctx.Ctx.pool ~telemetry:ctx.Ctx.telemetry ~params
+      ?budget ?checkpoint ~label ~seed ~runs make
   in
   match store with
   | None -> execute ()
   | Some t ->
-    let key = campaign_key ctx sc in
+    let key = campaign_key sc in
     (* The in-progress campaign checkpoints straight into the artifact
        path: a crash mid-campaign leaves a partial run-log that fails the
        completeness check (a miss), and the recompute resumes from it. *)
@@ -281,23 +265,16 @@ let write_file path s =
     (fun () -> output_string oc s)
 
 let run_fit (ctx : Ctx.t) store (sc : Scenario.t) (ds : Dataset.t) =
-  let candidates =
-    (* Names were validated by [Scenario.make]; resolve them here so the
-       context's string candidates and the scenario's share one code path
-       inside [Fit.fit]. *)
-    Option.map
-      (List.filter_map Fit.candidate_of_string)
-      sc.Scenario.candidates
-  in
   let compute () =
-    Fit.fit ~ctx ?alpha:sc.Scenario.alpha ?candidates
+    Fit.fit ?pool:ctx.Ctx.pool ~telemetry:ctx.Ctx.telemetry
+      ?alpha:sc.Scenario.alpha ?candidates:sc.Scenario.candidates
       ~n_censored:(Dataset.n_censored ds)
       ds.Dataset.values
   in
   match store with
   | None -> compute ()
   | Some t ->
-    let key = fit_key ctx sc in
+    let key = fit_key sc in
     Artifact.with_cache t ~stage:"fit" ~key ~ext:"json"
       ~load:(fun file -> report_of_json (Json.of_string (read_file file)))
       ~save:(fun report tmp ->
@@ -310,20 +287,16 @@ let run_fit (ctx : Ctx.t) store (sc : Scenario.t) (ds : Dataset.t) =
 
 let run_validate (ctx : Ctx.t) store (sc : Scenario.t) (cfg : Validate.config)
     (ds : Dataset.t) (report : Fit.report) =
-  let candidates =
-    Option.map
-      (List.filter_map Fit.candidate_of_string)
-      sc.Scenario.candidates
-  in
   let compute () =
-    Validate.run ~ctx ?alpha:sc.Scenario.alpha ?candidates ~config:cfg
+    Validate.run ?pool:ctx.Ctx.pool ~telemetry:ctx.Ctx.telemetry
+      ?alpha:sc.Scenario.alpha ?candidates:sc.Scenario.candidates ~config:cfg
       ~seed:sc.Scenario.seed ~cores:sc.Scenario.cores ~label:sc.Scenario.name
       ~report ds.Dataset.values
   in
   match store with
   | None -> compute ()
   | Some t ->
-    let key = validate_key ctx sc cfg in
+    let key = validate_key sc cfg in
     Artifact.with_cache t ~stage:"validate" ~key ~ext:"json"
       ~load:(fun file -> Validate.of_json (Json.of_string (read_file file)))
       ~save:(fun r tmp ->
@@ -379,8 +352,8 @@ let run ?(ctx = Ctx.default) (sc : Scenario.t) =
     stage Scenario.Predict (fun () ->
         match fit with
         | Some report ->
-          Predict.of_report ~ctx ~label:sc.Scenario.name
-            ~cores:sc.Scenario.cores report
+          Predict.of_report ?pool:ctx.Ctx.pool ~telemetry
+            ~label:sc.Scenario.name ~cores:sc.Scenario.cores report
         | None -> invalid_arg "Engine.run: predict stage without fit stage")
   in
   let simulated =

@@ -6,11 +6,10 @@
     KS test), predict (multi-walk speed-up curve), simulate (plug-in
     minimum speed-ups), compare (predicted vs. measured) and validate
     (bootstrap bands, held-out cross-validation and the calibration
-    oracle of {!Lv_validate.Validate}) — resolving
-    every cross-cutting default (pool, telemetry, budgets, retries,
-    checkpoints, cache) from the {!Lv_context.Context}, while the
-    scenario's own fields (seed, alpha, candidates, budgets) take
-    precedence as the experiment's spec.
+    oracle of {!Lv_validate.Validate}).  The scenario is the whole
+    experiment (seed, alpha, candidates, budgets); the
+    {!Lv_context.Context} only supplies the pool and telemetry sink every
+    stage runs on, and the artifact cache.
 
     {2 Caching}
 
@@ -21,10 +20,10 @@
     of the report (laws are rebuilt with {!Lv_core.Fit.instantiate}), and
     the validation artifact is the {!Lv_validate.Validate.to_json} report
     (keyed on the fit key plus the validation config, cores and seed).  Cache
-    keys hash the {e effective} inputs — scenario fields after context
-    fallback — so changing either the scenario or the governing context
-    field recomputes, and lookups surface as ["engine.cache.hit"] /
-    ["engine.cache.miss"] telemetry counters and in the outcome.
+    keys hash the scenario fields each stage consumes, so changing any of
+    them recomputes; the pool and sink never enter a key.  Lookups surface
+    as ["engine.cache.hit"] / ["engine.cache.miss"] telemetry counters and
+    in the outcome.
 
     {2 Telemetry}
 
@@ -54,13 +53,12 @@ type outcome = {
 
 val run : ?ctx:Lv_context.Context.t -> Scenario.t -> outcome
 (** Execute the scenario under the context (default
-    {!Lv_context.Context.default}: sequential, null telemetry, no cache).
-    Deterministic for a given (scenario, context): datasets and predictions
+    {!Lv_context.Context.default}: default pools, null telemetry, no
+    cache).  Deterministic for a given scenario: datasets and predictions
     are byte-identical whatever the pool size and whether stages were
     computed or served from cache.  Raises [Failure] / [Invalid_argument]
-    on an invalid scenario-context combination, and lets stage exceptions
-    propagate (nothing half-written: artifact and output writes are
-    atomic). *)
+    on an invalid scenario, and lets stage exceptions propagate (nothing
+    half-written: artifact and output writes are atomic). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** Human-readable digest: dataset summary, fit verdict, prediction curve,

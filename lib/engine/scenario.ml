@@ -27,7 +27,7 @@ type t = {
   timeout : float option;
   max_iters : int option;
   alpha : float option;
-  candidates : string list option;
+  candidates : Lv_core.Fit.candidate list option;
   stages : stage list;
   validate : Lv_validate.Validate.config option;
   output_dir : string option;
@@ -73,17 +73,7 @@ let validate t =
   | Some a when not (a > 0. && a < 1.) ->
     fail "scenario: alpha must lie in (0, 1)"
   | _ -> ());
-  (match t.candidates with
-  | Some [] -> fail "scenario: candidates must be non-empty"
-  | Some names ->
-    List.iter
-      (fun n ->
-        if Lv_core.Fit.candidate_of_string n = None then
-          fail "scenario: unknown candidate %S (known: %s)" n
-            (String.concat ", "
-               (List.map Lv_core.Fit.candidate_name Lv_core.Fit.all_candidates)))
-      names
-  | None -> ());
+  if t.candidates = Some [] then fail "scenario: candidates must be non-empty";
   if t.stages = [] then fail "scenario: stages must be non-empty";
   (* Invariant: the Validate stage and a validation config come and go
      together — asking for the stage fills in the default config, and a
@@ -253,9 +243,20 @@ let of_string ?(path = "<scenario>") text =
     match get "candidates" with
     | None -> None
     | Some (_, "all") -> None
-    | Some (_, "paper") ->
-      Some (List.map Lv_core.Fit.candidate_name Lv_core.Fit.paper_candidates)
-    | Some (_, v) -> Some (split_list v)
+    | Some (_, "paper") -> Some Lv_core.Fit.paper_candidates
+    | Some (line, v) ->
+      Some
+        (List.map
+           (fun n ->
+             match Lv_core.Fit.candidate_of_string n with
+             | Some c -> c
+             | None ->
+               perr line "key \"candidates\": unknown candidate %S (known: %s)"
+                 n
+                 (String.concat ", "
+                    (List.map Lv_core.Fit.candidate_name
+                       Lv_core.Fit.all_candidates)))
+           (split_list v))
   in
   let stages =
     match get "stages" with
@@ -354,7 +355,9 @@ let to_string t =
   opt "timeout" (Printf.sprintf "%.17g") t.timeout;
   opt "max-iters" string_of_int t.max_iters;
   opt "alpha" (Printf.sprintf "%.17g") t.alpha;
-  opt "candidates" (String.concat ",") t.candidates;
+  opt "candidates"
+    (fun cs -> String.concat "," (List.map Lv_core.Fit.candidate_name cs))
+    t.candidates;
   opt "validate"
     (fun (c : Lv_validate.Validate.config) ->
       Printf.sprintf "replicates=%d,folds=%d,level=%.17g,trials=%d"

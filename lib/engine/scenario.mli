@@ -56,9 +56,9 @@ type t = {
   iteration_cap : int option;  (** solver [max_iterations] override *)
   timeout : float option;  (** per-run wall budget (censored beyond it) *)
   max_iters : int option;  (** per-run iteration budget (censored beyond it) *)
-  alpha : float option;  (** KS level; [None] = context default *)
-  candidates : string list option;
-      (** candidate pool by canonical name; [None] = fit default *)
+  alpha : float option;  (** KS level; [None] = 0.05 *)
+  candidates : Lv_core.Fit.candidate list option;
+      (** candidate pool; [None] = {!Lv_core.Fit.all_candidates} *)
   stages : stage list;  (** in pipeline order, deduplicated *)
   validate : Lv_validate.Validate.config option;
       (** present iff {!stage.Validate} is among [stages] (the
@@ -87,7 +87,7 @@ val make :
   ?timeout:float ->
   ?max_iters:int ->
   ?alpha:float ->
-  ?candidates:string list ->
+  ?candidates:Lv_core.Fit.candidate list ->
   ?stages:stage list ->
   ?validate:Lv_validate.Validate.config ->
   ?output_dir:string ->
@@ -98,7 +98,7 @@ val make :
 (** Programmatic constructor with the same defaults and validation as the
     file parser (runs 200, seed 1, cores 16..256, iteration metric,
     {!default_stages}).  Raises [Failure] on an invalid scenario —
-    unknown problem, unknown candidate name, nonpositive size/runs/cores,
+    unknown problem, empty candidate pool, nonpositive size/runs/cores,
     an invalid validation config, or a stage whose prerequisite stage is
     missing ([Fit] needs [Campaign], [Predict] needs [Fit], [Simulate]
     needs [Campaign], [Compare] needs [Predict] and [Simulate],

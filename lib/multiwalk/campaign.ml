@@ -27,44 +27,8 @@ let restore_slots ~path ~seed ~runs =
     (Checkpoint.load path);
   slots
 
-(* [?ctx] resolution, shared by [run]/[run_fn]: an explicit optional
-   argument (the pre-context spelling) overrides the context field, which
-   overrides the built-in default — so legacy call sites behave exactly as
-   before and a context can be adopted one layer at a time. *)
-let resolve_ctx ?(ctx = Lv_context.Context.default) ?domains ?pool ?telemetry
-    ?checkpoint ?retry ~label () =
-  let open Lv_context in
-  let domains =
-    match domains with
-    | Some d -> d
-    | None -> Option.value ctx.Context.domains ~default:1
-  in
-  let pool = match pool with Some _ as p -> p | None -> ctx.Context.pool in
-  let telemetry =
-    match telemetry with Some t -> t | None -> ctx.Context.telemetry
-  in
-  let checkpoint =
-    match checkpoint with
-    | Some _ as c -> c
-    | None ->
-      Option.map
-        (fun dir -> Filename.concat dir (label ^ ".jsonl"))
-        ctx.Context.checkpoint_dir
-  in
-  let retry =
-    match retry with
-    | Some r -> r
-    | None ->
-      if ctx.Context.retries = 0 then Retry.none
-      else Retry.policy ~max_attempts:(ctx.Context.retries + 1) ()
-  in
-  (domains, pool, telemetry, checkpoint, retry)
-
-let run_fn ?ctx ?domains ?pool ?progress ?telemetry ?checkpoint ?retry ~label
-    ~seed ~runs make_runner =
-  let domains, pool, telemetry, checkpoint, retry =
-    resolve_ctx ?ctx ?domains ?pool ?telemetry ?checkpoint ?retry ~label ()
-  in
+let run_fn ?(domains = 1) ?pool ?progress ?(telemetry = Lv_telemetry.Sink.null)
+    ?checkpoint ?(retry = Retry.none) ~label ~seed ~runs make_runner =
   if runs <= 0 then invalid_arg "Campaign.run: runs must be positive";
   if domains <= 0 then invalid_arg "Campaign.run: domains must be positive";
   if retry.Retry.max_attempts <= 0 then
@@ -233,20 +197,9 @@ let censored_iterations result =
          if o.Run.solved then None else Some (float_of_int o.Run.iterations))
   |> Array.of_list
 
-let run ?ctx ?params ?budget ?domains ?pool ?progress ?telemetry ?checkpoint
-    ?retry ~label ~seed ~runs make_instance =
-  let budget =
-    match (budget, ctx) with
-    | (Some _ as b), _ -> b
-    | None, Some c
-      when c.Lv_context.Context.max_seconds <> None
-           || c.Lv_context.Context.max_iterations <> None ->
-      Some
-        (Run.budget ?max_seconds:c.Lv_context.Context.max_seconds
-           ?max_iterations:c.Lv_context.Context.max_iterations ())
-    | None, _ -> None
-  in
-  run_fn ?ctx ?domains ?pool ?progress ?telemetry ?checkpoint ?retry ~label
-    ~seed ~runs (fun () ->
+let run ?params ?budget ?domains ?pool ?progress ?telemetry ?checkpoint ?retry
+    ~label ~seed ~runs make_instance =
+  run_fn ?domains ?pool ?progress ?telemetry ?checkpoint ?retry ~label ~seed
+    ~runs (fun () ->
       let packed = make_instance () in
       fun rng -> Run.once ?params ?budget ~rng packed)

@@ -27,15 +27,6 @@
       to an uninterrupted campaign (per-run seeding [seed + r] makes
       iteration counts exact; restored seconds are the genuinely measured
       ones).  A checkpoint recorded under a different seed is rejected.
-    {2 Context}
-
-    [?ctx] (an {!Lv_context.Context.t}) supplies every cross-cutting
-    default at once: pool/domains, telemetry sink, per-run budget, retry
-    count and checkpoint directory (the run-log lands at
-    [<checkpoint_dir>/<label>.jsonl]).  An explicit optional argument —
-    the pre-context spelling, kept so call sites can migrate layer by
-    layer — overrides the corresponding context field.
-
     - {e Retry-with-backoff} ([?retry], default {!Retry.none}): a run
       whose runner raises is re-attempted under the policy before the
       campaign aborts.  Retried runs recreate their generator from the
@@ -61,7 +52,6 @@ val censored_iterations : result -> float array
     run solved. *)
 
 val run :
-  ?ctx:Lv_context.Context.t ->
   ?params:Lv_search.Params.t ->
   ?budget:Run.budget ->
   ?domains:int ->
@@ -97,7 +87,6 @@ val run :
     (label, runs, domains, seed, censored/retries/restored totals). *)
 
 val run_fn :
-  ?ctx:Lv_context.Context.t ->
   ?domains:int ->
   ?pool:Lv_exec.Pool.t ->
   ?progress:(int -> unit) ->

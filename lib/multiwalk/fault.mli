@@ -1,9 +1,10 @@
 (** Test-only fault injection for exercising the campaign retry and
     checkpoint/resume paths.
 
-    Off by default (zero overhead beyond one lazy read).  Setting the
-    environment variable [LVP_FAULT_RATE] to a probability in [0,1] makes
-    {!maybe_inject} raise {!Injected} with that probability on each call;
+    Off by default (zero overhead beyond one read of a value computed at
+    module initialisation).  Setting the environment variable
+    [LVP_FAULT_RATE] to a probability in [0,1] makes {!maybe_inject}
+    raise {!Injected} with that probability on each call;
     [LVP_FAULT_SEED] (default [0x5eed]) seeds the decision stream.  The
     campaign runner calls {!maybe_inject} at the start of every run
     {e attempt}, so with retries enabled a faulted run is retried and —

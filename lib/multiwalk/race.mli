@@ -23,7 +23,6 @@ type outcome = {
 }
 
 val wall_clock :
-  ?ctx:Lv_context.Context.t ->
   ?params:Lv_search.Params.t ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
@@ -39,13 +38,9 @@ val wall_clock :
 
     With a live [telemetry] sink each walker emits one ["race.walker"]
     span (walker index, iterations, solved flag, own wall time) and the
-    race itself one ["race"] span carrying the outcome.
-
-    [ctx] supplies the pool and telemetry sink when the explicit optional
-    arguments are absent (see {!Lv_context.Context}). *)
+    race itself one ["race"] span carrying the outcome. *)
 
 val iteration_metric :
-  ?ctx:Lv_context.Context.t ->
   ?params:Lv_search.Params.t ->
   ?domains:int ->
   ?pool:Lv_exec.Pool.t ->

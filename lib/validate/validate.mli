@@ -61,7 +61,6 @@ type bootstrap_report = {
 }
 
 val bootstrap_bands :
-  ?ctx:Lv_context.Context.t ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
   ?replicates:int ->
@@ -104,7 +103,6 @@ type holdout_report = {
 }
 
 val holdout :
-  ?ctx:Lv_context.Context.t ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
   ?alpha:float ->
@@ -152,7 +150,6 @@ type oracle_report = {
 }
 
 val oracle :
-  ?ctx:Lv_context.Context.t ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
   ?alpha:float ->
@@ -189,7 +186,6 @@ type report = {
 }
 
 val run :
-  ?ctx:Lv_context.Context.t ->
   ?pool:Lv_exec.Pool.t ->
   ?telemetry:Lv_telemetry.Sink.t ->
   ?alpha:float ->
@@ -207,8 +203,8 @@ val run :
     checks the machinery recovers it (self-calibration anchored at the
     scenario's own fit).  Emits one ["validate"] telemetry span wrapping
     ["validate.bootstrap"] / ["validate.holdout"] / ["validate.oracle"]
-    child spans.  [ctx] supplies alpha, pool, telemetry and the candidate
-    pool exactly as in {!Lv_core.Fit.fit}. *)
+    child spans.  [alpha] (default 0.05) and [candidates] mean what they
+    mean in {!Lv_core.Fit.fit}. *)
 
 (** {2 Serialization} *)
 

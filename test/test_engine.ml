@@ -1,4 +1,4 @@
-(* Tests for the experiment engine: Context builders and validation, the
+(* Tests for the experiment engine: the Context record, the
    Scenario parser (errors with file:line, canonical round-trip), the
    content-addressed Artifact store, and Engine.run end to end — including
    the acceptance property that a second run against the same cache is
@@ -21,11 +21,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let check_invalid name f =
-  match f () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-
 let check_fails name f =
   match f () with
   | exception Failure _ -> ()
@@ -37,47 +32,15 @@ let check_fails name f =
 
 let test_context_defaults () =
   let c = Ctx.default in
-  Alcotest.(check int) "seed" 1 c.Ctx.seed;
-  Alcotest.(check (float 0.)) "alpha" 0.05 c.Ctx.alpha;
-  Alcotest.(check int) "retries" 0 c.Ctx.retries;
   Alcotest.(check bool) "no pool" true (c.Ctx.pool = None);
   Alcotest.(check bool) "null telemetry" true
     (Lv_telemetry.Sink.is_null c.Ctx.telemetry);
-  Alcotest.(check bool) "no cache" true (c.Ctx.cache_dir = None)
-
-let test_context_builders_compose () =
-  let c =
-    Ctx.default |> Ctx.with_seed 42 |> Ctx.with_alpha 0.01
-    |> Ctx.with_candidates [ "exponential"; "lognormal" ]
-    |> Ctx.with_budget ~max_iterations:1000
-    |> Ctx.with_retries 2 |> Ctx.with_cache_dir "/tmp/c"
-  in
-  let m =
-    Ctx.make ~seed:42 ~alpha:0.01
-      ~candidates:[ "exponential"; "lognormal" ]
-      ~max_iterations:1000 ~retries:2 ~cache_dir:"/tmp/c" ()
-  in
-  (* make with the same settings agrees with the builder chain (field by
-     field: contexts carry a sink, which is not structurally comparable). *)
-  List.iter
-    (fun (x : Ctx.t) ->
-      Alcotest.(check int) "seed" 42 x.Ctx.seed;
-      Alcotest.(check (float 0.)) "alpha" 0.01 x.Ctx.alpha;
-      Alcotest.(check bool) "candidates" true
-        (x.Ctx.candidates = Some [ "exponential"; "lognormal" ]);
-      Alcotest.(check bool) "budget" true (x.Ctx.max_iterations = Some 1000);
-      Alcotest.(check int) "retries" 2 x.Ctx.retries;
-      Alcotest.(check bool) "cache dir" true (x.Ctx.cache_dir = Some "/tmp/c"))
-    [ c; m ]
-
-let test_context_validation () =
-  check_invalid "alpha 0" (fun () -> Ctx.with_alpha 0. Ctx.default);
-  check_invalid "alpha 1" (fun () -> Ctx.with_alpha 1. Ctx.default);
-  check_invalid "domains 0" (fun () -> Ctx.with_domains 0 Ctx.default);
-  check_invalid "empty candidates" (fun () -> Ctx.with_candidates [] Ctx.default);
-  check_invalid "negative retries" (fun () -> Ctx.with_retries (-1) Ctx.default);
-  check_invalid "nonpositive budget" (fun () ->
-      Ctx.with_budget ~max_seconds:0. Ctx.default)
+  Alcotest.(check bool) "no cache" true (c.Ctx.cache_dir = None);
+  let m = Ctx.make ~cache_dir:"/tmp/c" () in
+  Alcotest.(check bool) "make sets the cache" true
+    (m.Ctx.cache_dir = Some "/tmp/c");
+  Alcotest.(check bool) "make keeps the null sink" true
+    (Lv_telemetry.Sink.is_null m.Ctx.telemetry)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario                                                            *)
@@ -128,8 +91,7 @@ let test_scenario_parse_full () =
   Alcotest.(check bool) "key spelling - = _" true
     (sc.Scenario.iteration_cap = Some 1000 && sc.Scenario.max_iters = Some 800);
   Alcotest.(check bool) "paper candidates expanded" true
-    (sc.Scenario.candidates
-    = Some (List.map Lv_core.Fit.candidate_name Lv_core.Fit.paper_candidates));
+    (sc.Scenario.candidates = Some Lv_core.Fit.paper_candidates);
   Alcotest.(check bool) "stages normalized to pipeline order" true
     (sc.Scenario.stages = Scenario.default_stages);
   Alcotest.(check bool) "output" true (sc.Scenario.output_dir = Some "out")
@@ -160,6 +122,8 @@ let test_scenario_parse_errors () =
     "[scenario]\nproblem = sudoku\nsize = 9\n";
   expect_parse_error ~substring:"unknown candidate"
     (minimal ^ "candidates = cauchy\n");
+  expect_parse_error ~substring:"f.conf:4"
+    (minimal ^ "candidates = exponential,cauchy\n");
   (* Stage prerequisites. *)
   expect_parse_error ~substring:"requires stage" (minimal ^ "stages = fit\n");
   expect_parse_error ~substring:"requires stage"
@@ -169,7 +133,7 @@ let test_scenario_roundtrip () =
   let sc =
     Scenario.make ~problem:"ms" ~size:8 ~runs:33 ~seed:5 ~cores:[ 3; 9 ]
       ~metric:`Seconds ~walk:0.25 ~timeout:1.5 ~alpha:0.1
-      ~candidates:[ "exponential" ] ~output_dir:"o" ()
+      ~candidates:[ Lv_core.Fit.Exponential ] ~output_dir:"o" ()
   in
   let reparsed = Scenario.of_string (Scenario.to_string sc) in
   Alcotest.(check bool) "canonical text round-trips" true (reparsed = sc);
@@ -211,9 +175,6 @@ let gen_valid_scenario =
       Scenario.all_stages;
     ]
   in
-  let candidate_names =
-    List.map Lv_core.Fit.candidate_name Lv_core.Fit.all_candidates
-  in
   let* problem = oneofl Lv_problems.Registry.names in
   let* size = int_range 1 500 in
   let* runs = int_range 1 2000 in
@@ -228,8 +189,8 @@ let gen_valid_scenario =
   let* alpha = opt (float_range 0.001 0.999) in
   let* candidates =
     opt
-      (let* n = int_range 1 (List.length candidate_names) in
-       let* shuffled = shuffle_l candidate_names in
+      (let* n = int_range 1 (List.length Lv_core.Fit.all_candidates) in
+       let* shuffled = shuffle_l Lv_core.Fit.all_candidates in
        return (List.filteri (fun i _ -> i < n) shuffled))
   in
   let* stages = oneofl stage_sets in
@@ -409,11 +370,12 @@ let test_artifact_telemetry_counters () =
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let exponentials = [ Lv_core.Fit.Exponential; Lv_core.Fit.Shifted_exponential ]
+
 (* Small and fast: n-queens 20, a handful of runs. *)
 let small_scenario ?(stages = Scenario.default_stages) ?output_dir () =
   Scenario.make ~problem:"n-queens" ~size:20 ~runs:12 ~seed:3
-    ~cores:[ 2; 4 ] ~candidates:[ "exponential"; "shifted-exponential" ]
-    ~stages ?output_dir ()
+    ~cores:[ 2; 4 ] ~candidates:exponentials ~stages ?output_dir ()
 
 let test_engine_runs_all_stages () =
   let o = Engine.run (small_scenario ()) in
@@ -462,44 +424,31 @@ let test_engine_cache_key_sensitivity () =
   (* A different seed must not be served from the first run's artifacts. *)
   let other =
     Scenario.make ~problem:"n-queens" ~size:20 ~runs:12 ~seed:4
-      ~cores:[ 2; 4 ]
-      ~candidates:[ "exponential"; "shifted-exponential" ]
-      ()
+      ~cores:[ 2; 4 ] ~candidates:exponentials ()
   in
   let o2 = Engine.run ~ctx other in
   Alcotest.(check int) "changed seed: no hits" 0 o2.Engine.cache_hits;
   (* Same campaign, different alpha: campaign hits, fit recomputes. *)
   let refit =
     Scenario.make ~problem:"n-queens" ~size:20 ~runs:12 ~seed:3
-      ~cores:[ 2; 4 ] ~alpha:0.01
-      ~candidates:[ "exponential"; "shifted-exponential" ]
-      ()
+      ~cores:[ 2; 4 ] ~alpha:0.01 ~candidates:exponentials ()
   in
   let o3 = Engine.run ~ctx refit in
   Alcotest.(check int) "campaign reused" 1 o3.Engine.cache_hits;
   Alcotest.(check int) "fit recomputed" 1 o3.Engine.cache_misses
 
-let test_engine_ctx_budget_censors () =
-  (* A context-supplied iteration budget must reach the runs: with a
+let test_engine_scenario_budget_censors () =
+  (* The scenario's iteration budget must reach the runs: with a
      1-iteration cap nothing solves, and the campaign layer rejects the
-     fully-censored result.  Without the ctx budget the same scenario
-     solves every run (see the other engine tests), so the raise proves
-     the budget flowed through the context fallback. *)
-  let ctx = Ctx.make ~max_iterations:1 () in
-  match Engine.run ~ctx (small_scenario ~stages:[ Scenario.Campaign ] ()) with
+     fully-censored result.  Without the budget the same scenario solves
+     every run (see the other engine tests). *)
+  let sc =
+    Scenario.make ~problem:"n-queens" ~size:20 ~runs:12 ~seed:3 ~max_iters:1
+      ~stages:[ Scenario.Campaign ] ()
+  in
+  match Engine.run sc with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected the fully-censored campaign to be rejected"
-
-let test_engine_scenario_budget_overrides_ctx () =
-  (* The scenario's own budget wins over the context's. *)
-  let ctx = Ctx.make ~max_iterations:1 () in
-  let sc =
-    Scenario.make ~problem:"n-queens" ~size:20 ~runs:6 ~seed:3
-      ~max_iters:10_000_000 ~stages:[ Scenario.Campaign ] ()
-  in
-  let o = Engine.run ~ctx sc in
-  Alcotest.(check int) "runs solve under the scenario budget" 0
-    o.Engine.campaign.Lv_multiwalk.Campaign.n_censored
 
 let test_engine_deterministic_across_ctx_pool () =
   (* Same scenario, pool of 1 vs pool of 3: identical datasets. *)
@@ -511,6 +460,35 @@ let test_engine_deterministic_across_ctx_pool () =
   in
   Alcotest.(check bool) "pool-size invariant" true (values 1 = values 3)
 
+(* The artifact file names of a small campaign → fit → validate scenario,
+   pinned: a refactor of how the engine builds its cache keys must not
+   orphan existing caches. *)
+let test_engine_artifact_keys_pinned () =
+  let cache = tmp_dir () in
+  let ctx = Ctx.make ~cache_dir:cache () in
+  let sc =
+    Scenario.make ~problem:"n-queens" ~size:20 ~runs:12 ~seed:3
+      ~cores:[ 2; 4 ] ~candidates:exponentials
+      ~stages:[ Scenario.Campaign; Scenario.Fit; Scenario.Validate ]
+      ~validate:
+        {
+          Lv_validate.Validate.replicates = 20;
+          folds = 2;
+          level = 0.9;
+          trials = 0;
+        }
+      ()
+  in
+  ignore (Engine.run ~ctx sc);
+  Alcotest.(check (list string))
+    "artifact file names"
+    [
+      "campaign-f8521bc9cec00211c9b0002d6933fc19.jsonl";
+      "fit-84dfa7d05d66ba73009cb3728f580a65.json";
+      "validate-d5234d601e3bc2e90fcdf74d5faba16e.json";
+    ]
+    (List.sort compare (Array.to_list (Sys.readdir cache)))
+
 let () =
   Random.self_init ();
   Alcotest.run "lv_engine"
@@ -518,8 +496,6 @@ let () =
       ( "context",
         [
           Alcotest.test_case "defaults" `Quick test_context_defaults;
-          Alcotest.test_case "builders compose" `Quick test_context_builders_compose;
-          Alcotest.test_case "validation" `Quick test_context_validation;
         ] );
       ( "scenario",
         [
@@ -545,10 +521,11 @@ let () =
             test_engine_cache_second_run_free;
           Alcotest.test_case "cache key sensitivity" `Quick
             test_engine_cache_key_sensitivity;
-          Alcotest.test_case "ctx budget censors" `Quick test_engine_ctx_budget_censors;
-          Alcotest.test_case "scenario budget overrides ctx" `Quick
-            test_engine_scenario_budget_overrides_ctx;
+          Alcotest.test_case "scenario budget censors" `Quick
+            test_engine_scenario_budget_censors;
           Alcotest.test_case "pool-size invariant" `Quick
             test_engine_deterministic_across_ctx_pool;
+          Alcotest.test_case "artifact keys pinned" `Quick
+            test_engine_artifact_keys_pinned;
         ] );
     ]

@@ -500,7 +500,7 @@ let test_scenario_validate_roundtrip () =
 
 let small_scenario ?output_dir ?(trials = 0) () =
   Scenario.make ~problem:"n-queens" ~size:20 ~runs:12 ~seed:3 ~cores:[ 2; 4 ]
-    ~candidates:[ "exponential"; "shifted-exponential" ]
+    ~candidates:[ Fit.Exponential; Fit.Shifted_exponential ]
     ~validate:{ Validate.replicates = 24; folds = 2; level = 0.9; trials }
     ?output_dir ()
 
@@ -531,7 +531,7 @@ let test_engine_validate_cached () =
   let tuned =
     Scenario.make ~problem:"n-queens" ~size:20 ~runs:12 ~seed:3
       ~cores:[ 2; 4 ]
-      ~candidates:[ "exponential"; "shifted-exponential" ]
+      ~candidates:[ Fit.Exponential; Fit.Shifted_exponential ]
       ~validate:{ Validate.replicates = 32; folds = 2; level = 0.9; trials = 0 }
       ()
   in
