@@ -106,8 +106,10 @@ let estimator = function
 (* [path] is the full, pre-resolved event path: candidates are fitted on
    pool workers, whose domain-local span stack is empty, so the enclosing
    "fit" span's path must be baked in by the caller rather than recovered
-   from nesting. *)
-let fit_one_at ?alpha ~telemetry ~path candidate xs =
+   from nesting.  [ks_sample] is [xs] or a sorted copy of it: the estimator
+   always sees [xs] as given, so its summation order does not change,
+   while the KS test reads a sorted sample in place. *)
+let fit_one_at ?alpha ~telemetry ~path ~ks_sample candidate xs =
   let traced = not (Lv_telemetry.Sink.is_null telemetry) in
   let start = if traced then Lv_telemetry.Clock.now_ns () else 0L in
   let emit ~outcome fields =
@@ -122,7 +124,7 @@ let fit_one_at ?alpha ~telemetry ~path candidate xs =
   match (estimator candidate) xs with
   | dist ->
     let estimated = if traced then Lv_telemetry.Clock.now_ns () else 0L in
-    let ks = Kolmogorov.test ?alpha xs dist.Distribution.cdf in
+    let ks = Kolmogorov.test ?alpha ks_sample dist.Distribution.cdf in
     emit
       ~outcome:(if ks.Kolmogorov.accept then "accepted" else "rejected")
       [
@@ -144,7 +146,7 @@ let fit_one_at ?alpha ~telemetry ~path candidate xs =
 let fit_one ?alpha ?(telemetry = Lv_telemetry.Sink.null) candidate xs =
   fit_one_at ?alpha ~telemetry
     ~path:(Lv_telemetry.Span.path_of "fit.candidate")
-    candidate xs
+    ~ks_sample:xs candidate xs
 
 (* Descending p-value under [Float.compare]'s total order: a NaN p-value
    (degenerate KS input) sorts below every real number instead of landing
@@ -168,9 +170,14 @@ let fit ?alpha ?pool ?(telemetry = Lv_telemetry.Sink.null)
       ])
   @@ fun () ->
   let p = match pool with Some p -> p | None -> Lv_exec.Pool.default () in
+  (* Sorted once here instead of once per candidate's KS test. *)
+  let sorted = Array.copy xs in
+  Float_sort.sort ~what:"Fit.fit" sorted;
   let fits =
     Lv_exec.Pool.parallel_map p
-      (fun c -> fit_one_at ?alpha ~telemetry ~path:"fit/fit.candidate" c xs)
+      (fun c ->
+        fit_one_at ?alpha ~telemetry ~path:"fit/fit.candidate"
+          ~ks_sample:sorted c xs)
       (Array.of_list candidates)
     |> Array.to_list
     |> List.filter_map Fun.id

@@ -2,15 +2,11 @@ type point = { runtime : float; probability : float }
 
 let sorted_copy xs =
   if Array.length xs = 0 then invalid_arg "Ttt: empty sample";
-  Array.iter
-    (fun x ->
-      if not (Float.is_finite x) then
-        invalid_arg "Ttt: sample contains a non-finite value")
-    xs;
   let s = Array.copy xs in
-  (* Float.compare: the polymorphic compare ranks NaN unpredictably, which
-     would scramble the cumulative-probability axis. *)
-  Array.sort Float.compare s;
+  Lv_stats.Float_sort.sort ~what:"Ttt" s;
+  (* Sorted and NaN-free, so an infinity can only sit at an end. *)
+  if not (Float.is_finite s.(0) && Float.is_finite s.(Array.length s - 1)) then
+    invalid_arg "Ttt: sample contains a non-finite value";
   s
 
 let points xs =

@@ -5,9 +5,10 @@ let check_level level =
     invalid_arg "Bootstrap: level must lie in (0, 1)"
 
 (* Type-7 quantile on an array already sorted with [Float.compare].  NaN
-   statistics sort last under that total order, so enough of them push the
-   upper percentile (and then the lower) to NaN — the degeneracy stays
-   visible in the interval instead of scrambling the sort. *)
+   statistics sort first under that total order (below every number), so
+   enough of them turn the lower percentile (and then the upper) to NaN —
+   the degeneracy stays visible in the interval instead of scrambling the
+   sort. *)
 let sorted_quantile sorted p =
   let n = Array.length sorted in
   if n = 1 then sorted.(0)

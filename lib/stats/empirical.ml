@@ -2,12 +2,8 @@ type t = { xs : float array }
 
 let of_array a =
   if Array.length a = 0 then invalid_arg "Empirical.of_array: empty sample";
-  if Array.exists Float.is_nan a then
-    invalid_arg "Empirical.of_array: NaN observation";
   let xs = Array.copy a in
-  (* Float.compare, not polymorphic compare: the latter boxes every
-     element on each comparison and its NaN ordering is unspecified. *)
-  Array.sort Float.compare xs;
+  Float_sort.sort ~what:"Empirical.of_array" xs;
   { xs }
 
 let size t = Array.length t.xs

@@ -4,7 +4,7 @@
 type t
 
 val of_array : float array -> t
-(** Sorts a copy of the sample with [Float.compare].  Raises
+(** Sorts a copy of the sample with {!Float_sort.sort}.  Raises
     [Invalid_argument] on [[||]] or if any observation is NaN (a NaN would
     silently corrupt the sort order and every quantile downstream). *)
 

@@ -1,30 +1,33 @@
-let statistic sample cdf =
-  if Array.length sample = 0 then invalid_arg "Kolmogorov.statistic: empty sample";
-  Array.iter
-    (fun x ->
-      if Float.is_nan x then
-        invalid_arg "Kolmogorov.statistic: sample contains NaN")
-    sample;
-  let xs = Array.copy sample in
-  (* Float.compare, not the polymorphic compare: the polymorphic one puts
-     NaN at an unspecified rank, silently mis-sorting the ECDF. *)
-  Array.sort Float.compare xs;
-  let n = Array.length xs in
+let statistic_of_cdf_values fs =
+  let n = Array.length fs in
   let fn = float_of_int n in
   let d = ref 0. in
   for i = 0 to n - 1 do
-    let f = cdf xs.(i) in
+    let f = fs.(i) in
     if Float.is_nan f then
       invalid_arg "Kolmogorov.statistic: candidate CDF returned NaN";
-    (* ECDF jumps from i/n to (i+1)/n at xs.(i): check both sides.  A NaN
-       on either side would fail both [>] tests and leave [d] unchanged —
-       hence the explicit rejection above. *)
+    (* ECDF jumps from i/n to (i+1)/n at the i-th order statistic: check
+       both sides.  A NaN on either side would fail both [>] tests and
+       leave [d] unchanged — hence the explicit rejection above. *)
     let above = (float_of_int (i + 1) /. fn) -. f in
     let below = f -. (float_of_int i /. fn) in
     if above > !d then d := above;
     if below > !d then d := below
   done;
   !d
+
+let statistic sample cdf =
+  if Array.length sample = 0 then invalid_arg "Kolmogorov.statistic: empty sample";
+  let what = "Kolmogorov.statistic" in
+  let xs =
+    if Float_sort.ascending ~what sample then sample
+    else begin
+      let xs = Array.copy sample in
+      Float_sort.sort ~what xs;
+      xs
+    end
+  in
+  statistic_of_cdf_values (Array.map cdf xs)
 
 let kolmogorov_cdf x =
   if x <= 0. then 0.

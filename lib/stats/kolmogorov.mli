@@ -7,7 +7,15 @@ val statistic : float array -> (float -> float) -> float
     jump points of the ECDF (where the supremum is attained).  Raises
     [Invalid_argument] on an empty sample, a sample containing NaN, or a
     [cdf] that returns NaN at a jump point — a silent NaN would otherwise
-    leave the supremum at 0 and make any fit look perfect. *)
+    leave the supremum at 0 and make any fit look perfect.  A sample that is
+    already in ascending order is read in place, not copied; any other is
+    copied and sorted first, so the caller's array is never mutated. *)
+
+val statistic_of_cdf_values : float array -> float
+(** [statistic_of_cdf_values fs] is [D_n] when [fs.(i)] is the candidate
+    CDF at the sample's [i]-th smallest value: the loop {!statistic} runs
+    after sorting, for callers that score many candidate laws on one
+    sorted sample.  Raises [Invalid_argument] if some [fs.(i)] is NaN. *)
 
 val kolmogorov_cdf : float -> float
 (** CDF of the Kolmogorov distribution,

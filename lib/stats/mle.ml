@@ -43,24 +43,31 @@ let normal xs =
   let sd = if sd > 0. then sd else 1e-12 in
   Normal.create ~mu:(Summary.mean xs) ~sigma:sd
 
-let log_fit name xs x0 =
-  let logs =
-    Array.map
-      (fun x ->
-        let v = x -. x0 in
-        if v <= 0. then invalid_arg (name ^ ": observations must exceed the shift");
-        log v)
-      xs
-  in
+(* Fills [logs] with [log (x - x0)] for every [x] of [xs], in [xs]'s order,
+   and returns their MLE [(mu, sigma)]. *)
+let log_fit_into name logs (xs : float array) x0 =
+  for i = 0 to Array.length xs - 1 do
+    let v = xs.(i) -. x0 in
+    if v <= 0. then invalid_arg (name ^ ": observations must exceed the shift");
+    logs.(i) <- log v
+  done;
   let mu = Summary.mean logs in
   let sigma =
     (* MLE uses the n-denominator variance of the logs. *)
     let n = float_of_int (Array.length logs) in
-    let acc = Array.fold_left (fun a l -> a +. ((l -. mu) ** 2.)) 0. logs in
-    sqrt (acc /. n)
+    let acc = ref 0. in
+    for i = 0 to Array.length logs - 1 do
+      acc := !acc +. ((logs.(i) -. mu) ** 2.)
+    done;
+    sqrt (!acc /. n)
   in
   let sigma = if sigma > 0. then sigma else 1e-12 in
   (mu, sigma)
+
+let log_fit name xs x0 =
+  log_fit_into name (Array.create_float (Array.length xs)) xs x0
+
+let sqrt2 = sqrt 2.
 
 let lognormal xs =
   check_nonempty "Mle.lognormal" xs;
@@ -79,29 +86,42 @@ let shifted_lognormal ?(shift_fraction = 1.0) xs =
        grid, then keep the best.  The p-value is cheap (one pass per
        candidate) and the grid is dense enough for the shift's effect, which
        is smooth at the observation scale. *)
-    let fit_at x0 =
-      let mu, sigma = log_fit "Mle.shifted_lognormal" xs x0 in
-      Lognormal.shifted ~x0 ~mu ~sigma
-    in
-    let score d =
-      let r = Kolmogorov.test xs d.Distribution.cdf in
-      r.Kolmogorov.p_value
+    let name = "Mle.shifted_lognormal" in
+    let n = Array.length xs in
+    (* [order.(i)] indexes the i-th smallest observation: the sample is
+       ranked once, and every candidate's logs are read through it. *)
+    let order = Array.init n Fun.id in
+    if not (Float_sort.ascending ~what:name xs) then
+      Array.stable_sort (fun i j -> Float.compare xs.(i) xs.(j)) order;
+    let logs = Array.create_float n and cdfs = Array.create_float n in
+    (* The KS p-value of the lognormal (mu, sigma) of [logs]: the CDF of
+       [Lognormal.shifted], written out on [log (x - x0)], which [logs]
+       already holds.  The scores, and so the chosen shift, are those of
+       testing the [Distribution.t] itself. *)
+    let score (mu, sigma) =
+      for i = 0 to n - 1 do
+        cdfs.(i) <-
+          0.5 *. Special.erfc ((mu -. logs.(order.(i))) /. (sqrt2 *. sigma))
+      done;
+      Kolmogorov.p_value ~n (Kolmogorov.statistic_of_cdf_values cdfs)
     in
     let candidates = 48 in
-    let best = ref (0., score (lognormal xs)) in
+    let best = ref (0., score (log_fit_into "Mle.lognormal" logs xs 0.)) in
     for i = 1 to candidates do
       (* Push candidates toward xmin: the admissible boundary is where the
          paper's Mathematica fit landed (x0 = observed min). *)
       let frac = float_of_int i /. float_of_int candidates in
       let x0 = hi *. (frac ** 0.5) in
       let x0 = Float.min x0 (xmin *. (1. -. 1e-9)) in
-      match fit_at x0 with
-      | d ->
-        let s = score d in
+      match log_fit_into name logs xs x0 with
+      | fitted ->
+        let s = score fitted in
         if s > snd !best then best := (x0, s)
       | exception Invalid_argument _ -> ()
     done;
-    fit_at (fst !best)
+    let x0 = fst !best in
+    let mu, sigma = log_fit name xs x0 in
+    Lognormal.shifted ~x0 ~mu ~sigma
   end
 
 let weibull ?(tol = 1e-10) ?(max_iter = 100) xs =

@@ -36,11 +36,13 @@ val lognormal : float array -> Distribution.t
     must be positive. *)
 
 val shifted_lognormal : ?shift_fraction:float -> float array -> Distribution.t
-(** Shift [x0 = min - shift_fraction·(min .. median gap)] chosen by a golden-
-    section search maximizing the KS p-value over
-    [x0 ∈ [0, min)] (the paper estimated MS 200's [x0 = 6210 = min] with
+(** Shift [x0] chosen by maximizing the KS p-value of the lognormal MLE of
+    [log (x - x0)] over [x0 = 0] and a 48-point grid on [(0, min)], dense
+    toward [min] (the paper estimated MS 200's [x0 = 6210 = min] with
     Mathematica; searching the shift reproduces that choice on the paper's
-    data and generalizes it).  [shift_fraction] caps the search at
+    data and generalizes it).  The sample is ranked once and each grid
+    shift is scored in reused buffers; only the winner becomes a
+    [Distribution.t].  [shift_fraction] caps the search at
     [shift_fraction · min] (default 1.0, i.e. the whole admissible range). *)
 
 val weibull : ?tol:float -> ?max_iter:int -> float array -> Distribution.t

@@ -4,15 +4,20 @@
     function for the lognormal CDF, gamma functions for the gamma/Weibull
     families and the Kolmogorov distribution, and their inverses for
     quantiles — implemented from standard series/continued-fraction
-    expansions.  Accuracy targets are stated per function and enforced by the
+    expansions and, for erf/erfc, W. J. Cody's rational Chebyshev
+    approximations.  Accuracy targets are stated per function and enforced by the
     test suite against published reference values. *)
 
 val erf : float -> float
-(** Error function.  Absolute error below 1e-13 on the real line. *)
+(** Error function, within a few ulp on the real line; near 0 it is
+    [x · P(x²)/Q(x²)], never [1 - erfc x], so [erf 1e-10] keeps full
+    relative precision. *)
 
 val erfc : float -> float
 (** Complementary error function [1 - erf x], computed without cancellation
-    for large [x] (relative error below 1e-12 up to [x = 26]). *)
+    for large [x]: relative error below 1e-15 (a few ulp) up to
+    [x = 26.543], where it underflows and returns 0.  [erfc (-.x)] is
+    [2. -. erfc x] up to rounding. *)
 
 val erf_inv : float -> float
 (** Inverse of {!erf} on (-1, 1).  Raises [Invalid_argument] outside. *)

@@ -13,17 +13,17 @@ type t = {
 let check_nonempty name xs =
   if Array.length xs = 0 then invalid_arg (name ^ ": empty sample")
 
-let mean xs =
+let mean (xs : float array) =
   check_nonempty "Summary.mean" xs;
-  (* Kahan summation: campaigns can mix 1e3 and 1e9 iteration counts. *)
+  (* Kahan summation: campaigns can mix 1e3 and 1e9 iteration counts.  A
+     loop rather than [Array.iter], so the accumulators stay unboxed. *)
   let sum = ref 0. and comp = ref 0. in
-  Array.iter
-    (fun x ->
-      let y = x -. !comp in
-      let t = !sum +. y in
-      comp := t -. !sum -. y;
-      sum := t)
-    xs;
+  for i = 0 to Array.length xs - 1 do
+    let y = xs.(i) -. !comp in
+    let t = !sum +. y in
+    comp := t -. !sum -. y;
+    sum := t
+  done;
   !sum /. float_of_int (Array.length xs)
 
 let central_moment xs ~mean:m k =
@@ -52,9 +52,7 @@ let quantile xs p =
   check_nonempty "Summary.quantile" xs;
   if p < 0. || p > 1. then invalid_arg "Summary.quantile: p must lie in [0, 1]";
   let sorted = Array.copy xs in
-  (* Float.compare's total order: NaN sorts after every number instead of
-     landing wherever the polymorphic compare leaves it. *)
-  Array.sort Float.compare sorted;
+  Float_sort.sort ~what:"Summary.quantile" sorted;
   let n = Array.length sorted in
   if n = 1 then sorted.(0)
   else begin

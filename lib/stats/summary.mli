@@ -23,7 +23,9 @@ val std : float array -> float
 
 val quantile : float array -> float -> float
 (** [quantile xs p] for [p] in [0, 1]: linear interpolation between order
-    statistics (type-7, the R default).  Does not mutate [xs]. *)
+    statistics (type-7, the R default).  Does not mutate [xs].  Raises
+    [Invalid_argument] on an empty [xs] or one holding a NaN, which has no
+    rank among the numbers. *)
 
 val median : float array -> float
 

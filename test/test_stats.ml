@@ -21,27 +21,73 @@ let check_rel ?(tol = 1e-9) name expected actual =
 (* Special functions                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Reference values: Abramowitz & Stegun tables / Wolfram Alpha, 15 digits. *)
+(* Reference values: 17 significant digits, from 200-bit arbitrary-precision
+   evaluation (they agree with Abramowitz & Stegun's tables). *)
 let test_erf_values () =
-  check_float ~eps:1e-13 "erf 0" 0. (Special.erf 0.);
-  check_rel ~tol:1e-12 "erf 0.5" 0.520499877813047 (Special.erf 0.5);
-  check_rel ~tol:1e-12 "erf 1" 0.842700792949715 (Special.erf 1.);
-  check_rel ~tol:1e-12 "erf 2" 0.995322265018953 (Special.erf 2.);
-  check_rel ~tol:1e-12 "erf -1" (-0.842700792949715) (Special.erf (-1.));
-  check_rel ~tol:1e-10 "erf 3.5" 0.999999256901628 (Special.erf 3.5)
+  check_float ~eps:0. "erf 0" 0. (Special.erf 0.);
+  check_rel ~tol:1e-15 "erf 0.5" 0.5204998778130465 (Special.erf 0.5);
+  check_rel ~tol:1e-15 "erf 1" 0.8427007929497149 (Special.erf 1.);
+  check_rel ~tol:1e-15 "erf 2" 0.9953222650189527 (Special.erf 2.);
+  check_rel ~tol:1e-15 "erf -1" (-0.8427007929497149) (Special.erf (-1.));
+  check_rel ~tol:1e-15 "erf 3.5" 0.9999992569016276 (Special.erf 3.5);
+  (* Near 0, erf is x P(x²)/Q(x²) itself, not 1 - erfc x, which would have
+     cancelled every significant digit. *)
+  check_rel ~tol:1e-15 "erf 1e-10" 1.1283791670955126e-10 (Special.erf 1e-10)
 
 let test_erfc_values () =
-  check_rel ~tol:1e-11 "erfc 1" 0.157299207050285 (Special.erfc 1.);
-  check_rel ~tol:1e-11 "erfc 2" 4.67773498104727e-3 (Special.erfc 2.);
-  check_rel ~tol:1e-10 "erfc 5" 1.53745979442803e-12 (Special.erfc 5.);
-  check_rel ~tol:1e-9 "erfc 10" 2.08848758376254e-45 (Special.erfc 10.);
-  check_rel ~tol:1e-11 "erfc -1" 1.842700792949715 (Special.erfc (-1.));
-  check_float ~eps:1e-13 "erfc 0" 1. (Special.erfc 0.)
+  List.iter
+    (fun (x, expected) ->
+      check_rel ~tol:1e-15
+        (Printf.sprintf "erfc %g" x)
+        expected (Special.erfc x))
+    [
+      (0.1, 0.8875370839817151);
+      (0.5, 0.47950012218695346);
+      (1., 0.15729920705028513);
+      (2., 4.677734981047266e-3);
+      (3., 2.2090496998585441e-5);
+      (5., 1.5374597944280349e-12);
+      (10., 2.0884875837625448e-45);
+      (-1., 1.8427007929497148);
+    ];
+  check_float ~eps:0. "erfc 0" 1. (Special.erfc 0.)
+
+let test_erfc_reflection () =
+  (* erfc (-x) = 2 - erfc x: exact wherever erfc is computed from |x|
+     (|x| > 0.46875), within an ulp of 2 nearer 0. *)
+  List.iter
+    (fun x ->
+      check_float ~eps:(epsilon_float *. 2.)
+        (Printf.sprintf "erfc (-%g)" x)
+        (2. -. Special.erfc x)
+        (Special.erfc (-.x)))
+    [ 0.; 1e-10; 0.1; 0.3; 0.46875; 0.5; 1.; 2.; 3.; 4.; 5.; 10.; 27. ]
+
+let test_erf_branch_continuity () =
+  (* Across Cody's branch points each side must continue the other: the
+     step from the float below to the float above is the derivative times
+     that gap, to within a few ulp of the value. *)
+  let two_over_sqrt_pi = 2. /. sqrt Float.pi in
+  List.iter
+    (fun b ->
+      let lo = Float.pred b and hi = Float.succ b in
+      let ulp = Float.succ (Special.erfc b) -. Special.erfc b in
+      let slope = -.two_over_sqrt_pi *. exp (-.b *. b) in
+      let step = Special.erfc hi -. Special.erfc lo in
+      if abs_float (step -. (slope *. (hi -. lo))) > 4. *. ulp then
+        Alcotest.failf "erfc jumps at %g: step %g vs slope x gap %g" b step
+          (slope *. (hi -. lo));
+      let ulp = Float.succ (Special.erf b) -. Special.erf b in
+      let step = Special.erf hi -. Special.erf lo in
+      if abs_float (step +. (slope *. (hi -. lo))) > 4. *. ulp then
+        Alcotest.failf "erf jumps at %g: step %g vs slope x gap %g" b step
+          (-.slope *. (hi -. lo)))
+    [ 0.46875; 4. ]
 
 let test_erf_erfc_complement () =
   List.iter
     (fun x ->
-      check_rel ~tol:1e-12
+      check_rel ~tol:1e-15
         (Printf.sprintf "erf+erfc at %g" x)
         1.
         (Special.erf x +. Special.erfc x))
@@ -50,19 +96,19 @@ let test_erf_erfc_complement () =
 let test_erf_inv () =
   List.iter
     (fun x ->
-      check_rel ~tol:1e-10
+      check_rel ~tol:1e-14
         (Printf.sprintf "erf_inv (erf %g)" x)
         x
         (Special.erf_inv (Special.erf x)))
     [ 0.1; 0.5; 1.0; 1.5; 2.0; -0.7 ];
-  check_float ~eps:1e-12 "erf_inv 0" 0. (Special.erf_inv 0.);
+  check_float ~eps:0. "erf_inv 0" 0. (Special.erf_inv 0.);
   Alcotest.check_raises "erf_inv 1 rejected" (Invalid_argument "Special.erf_inv: argument must lie in (-1, 1)")
     (fun () -> ignore (Special.erf_inv 1.))
 
 let test_erfc_inv () =
   List.iter
     (fun y ->
-      check_rel ~tol:1e-10
+      check_rel ~tol:1e-14
         (Printf.sprintf "erfc (erfc_inv %g)" y)
         y
         (Special.erfc (Special.erfc_inv y)))
@@ -136,12 +182,12 @@ let test_digamma () =
   check_rel ~tol:1e-9 "digamma 10" 2.2517525890667214 (Special.digamma 10.)
 
 let test_norm_cdf_quantile () =
-  check_float ~eps:1e-14 "Phi 0" 0.5 (Special.norm_cdf 0.);
-  check_rel ~tol:1e-12 "Phi 1.96" 0.9750021048517795 (Special.norm_cdf 1.96);
-  check_rel ~tol:1e-12 "Phi -1" 0.158655253931457 (Special.norm_cdf (-1.));
+  check_float ~eps:0. "Phi 0" 0.5 (Special.norm_cdf 0.);
+  check_rel ~tol:1e-15 "Phi 1.96" 0.9750021048517795 (Special.norm_cdf 1.96);
+  check_rel ~tol:1e-15 "Phi -1" 0.15865525393145705 (Special.norm_cdf (-1.));
   List.iter
     (fun p ->
-      check_rel ~tol:1e-11
+      check_rel ~tol:1e-14
         (Printf.sprintf "Phi(quantile %g)" p)
         p
         (Special.norm_cdf (Special.norm_quantile p)))
@@ -351,6 +397,15 @@ let test_summary_errors () =
   Alcotest.check_raises "bad p"
     (Invalid_argument "Summary.quantile: p must lie in [0, 1]") (fun () ->
       ignore (Summary.quantile [| 1. |] 1.5))
+
+let test_summary_rejects_nan () =
+  (* Regression: the sort ranked NaN below every number, so this median
+     came back as 1.5, halfway between 1 and 2. *)
+  Alcotest.check_raises "median with NaN"
+    (Invalid_argument "Summary.quantile: NaN observation") (fun () ->
+      ignore (Summary.median [| 3.; Float.nan; 1.; 2. |]));
+  check_float ~eps:0. "median of the numbers" 2.
+    (Summary.median [| 3.; 1.; 2. |])
 
 let test_summary_skew_kurt () =
   (* Symmetric data: zero skewness. *)
@@ -783,6 +838,17 @@ let test_ks_statistic_rejects_nan () =
   | (_ : float) -> Alcotest.fail "NaN-returning CDF accepted"
   | exception Invalid_argument _ -> ()
 
+let test_ks_rejects_trailing_nan () =
+  (* The sortedness check shares its pass with the NaN check: a NaN after
+     an ascending prefix must not let the sample through as sorted.  The CDF
+     maps NaN to 1, so only the sample check can catch it. *)
+  match
+    Kolmogorov.statistic [| 0.1; 0.2; 0.3; Float.nan |] (fun x ->
+        if x < 1. then x else 1.)
+  with
+  | (_ : float) -> Alcotest.fail "trailing NaN accepted"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* MLE                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -851,6 +917,25 @@ let test_mle_shifted_lognormal_recovers () =
   let d = Mle.shifted_lognormal xs in
   let ks = Kolmogorov.test xs d.Distribution.cdf in
   Alcotest.(check bool) "shifted lognormal fit passes KS" true ks.Kolmogorov.accept
+
+let test_mle_shifted_lognormal_ms200_bits () =
+  (* The shift scan scores every grid shift with its own KS loop over one
+     ranked sample.  On 650 draws of the paper's MS 200 law it must return
+     the parameters the Distribution.t-per-shift scan returned, bit for
+     bit. *)
+  let law = Lv_core.Paper_data.fitted_law Lv_core.Paper_data.MS200 in
+  let xs = Distribution.sample_array law (Rng.create ~seed:1) 650 in
+  let d = Mle.shifted_lognormal xs in
+  List.iter
+    (fun (name, expected) ->
+      let actual = List.assoc name d.Distribution.params in
+      if Int64.bits_of_float actual <> Int64.bits_of_float expected then
+        Alcotest.failf "%s: %h, recorded %h" name actual expected)
+    [
+      ("x0", 0x1.00a001c5c858p+12);
+      ("mu", 0x1.817f66de77943p+3);
+      ("sigma", 0x1.4babd4517a7c4p+0);
+    ]
 
 let test_mle_normal () =
   let rng = Rng.create ~seed:73 in
@@ -1027,6 +1112,17 @@ let test_bootstrap_interval_contains_estimate () =
   Alcotest.(check bool) "contains truth" true
     (iv.Bootstrap.lo <= 10. && 10. <= iv.Bootstrap.hi)
 
+let test_bootstrap_nan_statistics_reach_lo () =
+  (* Float.compare ranks NaN below every number, so NaN statistics are the
+     first order statistics: 10 of 100 make the 2.5% bound NaN and leave
+     the 97.5% bound finite. *)
+  let stats =
+    Array.init 100 (fun i -> if i mod 10 = 0 then Float.nan else float_of_int i)
+  in
+  let iv = Bootstrap.percentile_interval ~level:0.95 ~estimate:50. stats in
+  Alcotest.(check bool) "lo is NaN" true (Float.is_nan iv.Bootstrap.lo);
+  Alcotest.(check bool) "hi is finite" true (Float.is_finite iv.Bootstrap.hi)
+
 let test_bootstrap_narrows_with_n () =
   let rng = Rng.create ~seed:101 in
   let xs_small = Array.init 50 (fun _ -> Rng.normal rng) in
@@ -1201,6 +1297,94 @@ let qcheck_props =
         s1 >= 0. && s1 <= 1. && s2 <= s1 +. 1e-12);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Sorted path                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The shifted-lognormal MLE as a Distribution.t per grid shift, each
+   scored by Kolmogorov.test: the reference the allocation-free scan in
+   Mle.shifted_lognormal must reproduce bit for bit. *)
+let shifted_lognormal_by_closures xs =
+  let xmin = Array.fold_left Float.min xs.(0) xs in
+  let fit_at x0 =
+    let logs = Array.map (fun x -> log (x -. x0)) xs in
+    let mu = Summary.mean logs in
+    let n = float_of_int (Array.length logs) in
+    let acc = Array.fold_left (fun a l -> a +. ((l -. mu) ** 2.)) 0. logs in
+    let sigma = sqrt (acc /. n) in
+    let sigma = if sigma > 0. then sigma else 1e-12 in
+    Lognormal.shifted ~x0 ~mu ~sigma
+  in
+  let score d = (Kolmogorov.test xs d.Distribution.cdf).Kolmogorov.p_value in
+  let best = ref (0., score (fit_at 0.)) in
+  for i = 1 to 48 do
+    let frac = float_of_int i /. 48. in
+    let x0 = Float.min (xmin *. (frac ** 0.5)) (xmin *. (1. -. 1e-9)) in
+    let s = score (fit_at x0) in
+    if s > snd !best then best := (x0, s)
+  done;
+  fit_at (fst !best)
+
+let sorted_path_props =
+  let open QCheck in
+  let bits = Int64.bits_of_float in
+  (* NaN-free floats with ties, signed zeros and infinities. *)
+  let number =
+    Gen.(
+      map
+        (fun x -> if Float.is_nan x then Float.infinity else x)
+        (oneof
+           [
+             float; map float_of_int (int_range (-5) 5); return (-0.);
+             float_range (-1e6) 1e6;
+           ]))
+  in
+  let sample =
+    make ~print:Print.(array float) Gen.(array_size (int_range 0 300) number)
+  in
+  [
+    Test.make ~name:"Float_sort.sort = Array.sort Float.compare" ~count:500
+      sample
+      (fun xs ->
+        let a = Array.copy xs and b = Array.copy xs in
+        let ascending = Float_sort.ascending ~what:"test" xs in
+        Float_sort.sort ~what:"test" a;
+        Array.sort Float.compare b;
+        (* Bit for bit (signed zeros included) unless the input was
+           already ascending and so left as it was. *)
+        if ascending then Array.for_all2 Float.equal a b
+        else Array.for_all2 (fun x y -> bits x = bits y) a b);
+    Test.make ~name:"KS statistic: shuffled and sorted samples give the same D"
+      ~count:200
+      (pair
+         (make Gen.(array_size (int_range 1 200) (float_range 0. 100.)))
+         small_int)
+      (fun (xs, seed) ->
+        let sorted = Array.copy xs in
+        Array.sort Float.compare sorted;
+        let shuffled = Array.copy xs in
+        Rng.shuffle_in_place (Rng.create ~seed) shuffled;
+        let before = Array.copy shuffled in
+        let cdf = (Exponential.create ~rate:0.05).Distribution.cdf in
+        bits (Kolmogorov.statistic shuffled cdf)
+        = bits (Kolmogorov.statistic sorted cdf)
+        (* An unsorted sample is sorted in a copy, never in place. *)
+        && shuffled = before);
+    Test.make ~name:"shifted lognormal scan = Distribution.t per shift" ~count:30
+      (triple small_int (int_range 2 300) (float_range 0.2 2.))
+      (fun (seed, n, sigma) ->
+        let rng = Rng.create ~seed in
+        let x0 = float_of_int (seed * 37) in
+        let law = Lognormal.shifted ~x0 ~mu:3. ~sigma in
+        let xs = Distribution.sample_array law rng n in
+        let scan = Mle.shifted_lognormal xs in
+        let reference = shifted_lognormal_by_closures xs in
+        scan.Distribution.name = reference.Distribution.name
+        && List.for_all2
+             (fun (k, v) (k', v') -> k = k' && bits v = bits v')
+             scan.Distribution.params reference.Distribution.params);
+  ]
+
 let () =
   Alcotest.run "lv_stats"
     [
@@ -1208,6 +1392,9 @@ let () =
         [
           Alcotest.test_case "erf values" `Quick test_erf_values;
           Alcotest.test_case "erfc values" `Quick test_erfc_values;
+          Alcotest.test_case "erfc (-x) = 2 - erfc x" `Quick test_erfc_reflection;
+          Alcotest.test_case "erf/erfc continuous at branch points" `Quick
+            test_erf_branch_continuity;
           Alcotest.test_case "erf + erfc = 1" `Quick test_erf_erfc_complement;
           Alcotest.test_case "erf_inv" `Quick test_erf_inv;
           Alcotest.test_case "erfc_inv" `Quick test_erfc_inv;
@@ -1248,6 +1435,7 @@ let () =
           Alcotest.test_case "basic stats" `Quick test_summary_basic;
           Alcotest.test_case "quantiles" `Quick test_summary_quantile;
           Alcotest.test_case "errors" `Quick test_summary_errors;
+          Alcotest.test_case "NaN rejected" `Quick test_summary_rejects_nan;
           Alcotest.test_case "skewness/kurtosis" `Slow test_summary_skew_kurt;
         ] );
       ( "histogram",
@@ -1292,6 +1480,8 @@ let () =
           Alcotest.test_case "rejects wrong law" `Quick test_ks_rejects_wrong_distribution;
           Alcotest.test_case "p-value calibration" `Slow test_ks_p_value_uniformity;
           Alcotest.test_case "NaN rejected" `Quick test_ks_statistic_rejects_nan;
+          Alcotest.test_case "NaN after a sorted prefix rejected" `Quick
+            test_ks_rejects_trailing_nan;
         ] );
       ( "mle",
         [
@@ -1300,6 +1490,8 @@ let () =
           Alcotest.test_case "shift collapses when spurious" `Quick test_mle_shifted_exponential_collapses_to_zero;
           Alcotest.test_case "lognormal" `Slow test_mle_lognormal;
           Alcotest.test_case "shifted lognormal" `Slow test_mle_shifted_lognormal_recovers;
+          Alcotest.test_case "shifted lognormal MS 200 bits" `Quick
+            test_mle_shifted_lognormal_ms200_bits;
           Alcotest.test_case "normal" `Slow test_mle_normal;
           Alcotest.test_case "weibull" `Slow test_mle_weibull;
           Alcotest.test_case "gamma" `Slow test_mle_gamma;
@@ -1322,7 +1514,10 @@ let () =
       ( "bootstrap",
         [
           Alcotest.test_case "interval sanity" `Quick test_bootstrap_interval_contains_estimate;
+          Alcotest.test_case "NaN statistics reach lo first" `Quick
+            test_bootstrap_nan_statistics_reach_lo;
           Alcotest.test_case "narrows with n" `Slow test_bootstrap_narrows_with_n;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
+      ("sorted path", List.map QCheck_alcotest.to_alcotest sorted_path_props);
     ]
