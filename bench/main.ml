@@ -67,7 +67,7 @@ type bench_problem = {
   name : string;  (* registry name *)
   size : int;
   label : string;
-  iteration_cap : int;
+  max_iters : int;
       (* Per-run budget, ~200x the mean runtime: the very rare run that
          stagnates past it is dropped as unsolved (the paper's generalized
          Definition 1 admits non-terminating runs) instead of stalling the
@@ -81,21 +81,21 @@ let problems =
       name = "magic-square";
       size = (if fast then 8 else 10);
       label = Printf.sprintf "MS %d" (if fast then 8 else 10);
-      iteration_cap = 2_500_000;
+      max_iters = 2_500_000;
     };
     {
       paper = Paper_data.AI700;
       name = "all-interval";
       size = (if fast then 14 else 18);
       label = Printf.sprintf "AI %d" (if fast then 14 else 18);
-      iteration_cap = 5_000_000;
+      max_iters = 5_000_000;
     };
     {
       paper = Paper_data.Costas21;
       name = "costas-array";
       size = (if fast then 12 else 14);
       label = Printf.sprintf "Costas %d" (if fast then 12 else 14);
-      iteration_cap = 1_000_000;
+      max_iters = 1_000_000;
     };
   ]
 
@@ -107,9 +107,9 @@ let engine_ctx =
   Lv_context.Context.make ~telemetry
     ?cache_dir:(Sys.getenv_opt "LV_BENCH_CACHE") ()
 
-let engine_campaign ~label ~problem ~size ~seed ~runs ?walk ~iteration_cap () =
+let engine_campaign ~label ~problem ~size ~seed ~runs ?walk ~max_iters () =
   let scenario =
-    Lv_engine.Scenario.make ~name:label ~runs ~seed ?walk ~iteration_cap
+    Lv_engine.Scenario.make ~name:label ~runs ~seed ?walk ~max_iters
       ~stages:[ Lv_engine.Scenario.Campaign ] ~problem ~size ()
   in
   (Lv_engine.Engine.run ~ctx:engine_ctx scenario).Lv_engine.Engine.campaign
@@ -119,7 +119,7 @@ let campaign_of p =
   let t0 = Lv_telemetry.Clock.now_ns () in
   let c =
     engine_campaign ~label:p.label ~problem:p.name ~size:p.size ~seed:20130101
-      ~runs ~iteration_cap:p.iteration_cap ()
+      ~runs ~max_iters:p.max_iters ()
   in
   let dt =
     Lv_telemetry.Clock.seconds_between ~start:t0
@@ -611,7 +611,7 @@ let ablation_solver_params () =
           engine_campaign
             ~label:(Printf.sprintf "costas-%d w%.1f" size walk)
             ~problem:"costas-array" ~size ~seed:777 ~runs:runs_d ~walk
-            ~iteration_cap:2_000_000 ()
+            ~max_iters:2_000_000 ()
         in
         let ds = c.Lv_multiwalk.Campaign.iterations in
         let pr =

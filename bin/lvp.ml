@@ -31,6 +31,19 @@ let problem_conv =
   let print ppf _ = Format.fprintf ppf "<problem>" in
   Arg.conv (parse, print)
 
+(* Counts rejected here fail as usage errors naming the flag, instead of
+   reaching a library's [Invalid_argument]. *)
+let int_at_least lo what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a %s integer" s what))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 "positive"
+let nonnegative_int = int_at_least 0 "non-negative"
+
 let problem_arg =
   Arg.(
     required
@@ -44,7 +57,7 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let runs_arg =
-  Arg.(value & opt int 200 & info [ "runs"; "r" ] ~docv:"N" ~doc:"Number of runs.")
+  Arg.(value & opt positive_int 200 & info [ "runs"; "r" ] ~docv:"N" ~doc:"Number of runs.")
 
 let cores_arg =
   Arg.(
@@ -85,7 +98,7 @@ let timeout_arg =
 let max_iters_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "max-iters" ] ~docv:"N"
         ~doc:
           "Per-run iteration budget.  A run that exhausts it is recorded as \
@@ -105,11 +118,18 @@ let checkpoint_arg =
 let retries_arg =
   Arg.(
     value
-    & opt int 0
+    & opt nonnegative_int 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "Retry a run whose runner raised a transient exception up to $(docv) \
            times, with exponential backoff, before aborting the campaign.")
+
+let scenario_arg =
+  Arg.(
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"SCENARIO.CONF"
+        ~doc:"Scenario file ([scenario] section of key = value lines).")
 
 let dataset_arg =
   Arg.(
@@ -129,7 +149,7 @@ let trace_arg =
 let pool_domains_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "pool-domains" ] ~docv:"N"
         ~doc:
           "Number of worker domains in the execution pool (default: the \
@@ -171,7 +191,7 @@ let with_sink ~trace ~verbose f =
 let with_pool ~telemetry domains f =
   Lv_exec.Pool.with_pool ~telemetry ?domains f
 
-let params_of ~walk ~max_iter name size =
+let params_of ?(max_iter = 0) ~walk name size =
   let base = Lv_problems.Defaults.params name size in
   let base =
     match walk with
@@ -208,18 +228,17 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc:"Run Adaptive Search once on a benchmark instance.") term
 
 let campaign_cmd =
-  let run make size seed walk max_iter runs out timeout max_iters checkpoint
-      retries pool_domains trace quiet verbose =
+  let run make size seed walk runs out timeout max_iters checkpoint retries
+      pool_domains trace quiet verbose =
     let packed0 = make size in
     let name = Lv_search.Csp.packed_name packed0 in
-    let params = params_of ~walk ~max_iter name size in
+    let params = params_of ~walk name size in
     let label = Printf.sprintf "%s-%d" name size in
     let budget =
       Lv_multiwalk.Run.budget ?max_seconds:timeout ?max_iterations:max_iters ()
     in
     let retry =
-      if retries < 0 then invalid_arg "lvp campaign: --retries must be >= 0"
-      else if retries = 0 then Lv_multiwalk.Retry.none
+      if retries = 0 then Lv_multiwalk.Retry.none
       else Lv_multiwalk.Retry.policy ~max_attempts:(retries + 1) ()
     in
     with_sink ~trace ~verbose @@ fun telemetry ->
@@ -268,9 +287,9 @@ let campaign_cmd =
   in
   let term =
     Term.(
-      const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ max_iter_arg
-      $ runs_arg $ out_arg $ timeout_arg $ max_iters_arg $ checkpoint_arg
-      $ retries_arg $ pool_domains_arg $ trace_arg $ quiet_arg $ verbose_arg)
+      const run $ problem_arg $ size_arg $ seed_arg $ walk_arg $ runs_arg
+      $ out_arg $ timeout_arg $ max_iters_arg $ checkpoint_arg $ retries_arg
+      $ pool_domains_arg $ trace_arg $ quiet_arg $ verbose_arg)
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -355,13 +374,6 @@ let run_cmd =
       else Format.printf "%a@." Lv_engine.Engine.pp_outcome outcome;
       0
   in
-  let scenario_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"SCENARIO.CONF"
-          ~doc:"Scenario file ([scenario] section of key = value lines).")
-  in
   let cache_arg =
     Arg.(
       value
@@ -441,18 +453,13 @@ let validate_cmd =
           Format.eprintf "lvp validate: engine produced no validation report@.";
           1
         | Some report ->
-          if quiet then
-            (* Keep the cache counters greppable even under --quiet: CI's
-               second-run assertion keys on this line. *)
-            Format.printf "engine cache: hits=%d misses=%d@."
-              outcome.Lv_engine.Engine.cache_hits
-              outcome.Lv_engine.Engine.cache_misses
-          else begin
+          if not quiet then
             Format.printf "%a@." Lv_validate.Validate.pp_report report;
-            Format.printf "engine cache: hits=%d misses=%d@."
-              outcome.Lv_engine.Engine.cache_hits
-              outcome.Lv_engine.Engine.cache_misses
-          end;
+          (* Printed even under --quiet: CI's second-run assertion keys on
+             this line. *)
+          Format.printf "engine cache: hits=%d misses=%d@."
+            outcome.Lv_engine.Engine.cache_hits
+            outcome.Lv_engine.Engine.cache_misses;
           (match json_out with
           | Some file ->
             Lv_validate.Validate.save_json report file;
@@ -464,13 +471,6 @@ let validate_cmd =
             if not quiet then Format.printf "saved validation table to %s@." file
           | None -> ());
           0))
-  in
-  let scenario_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"SCENARIO.CONF"
-          ~doc:"Scenario file ([scenario] section of key = value lines).")
   in
   let replicates_arg =
     Arg.(
@@ -572,7 +572,7 @@ let race_cmd =
     if outcome.Lv_multiwalk.Race.solved then 0 else 1
   in
   let walkers =
-    Arg.(value & opt int 4 & info [ "walkers"; "w" ] ~docv:"N" ~doc:"Parallel walkers.")
+    Arg.(value & opt positive_int 4 & info [ "walkers"; "w" ] ~docv:"N" ~doc:"Parallel walkers.")
   in
   let term =
     Term.(

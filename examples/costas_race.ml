@@ -14,8 +14,12 @@ let () =
 
   Format.printf "Costas %d, %d walkers@." size walkers;
 
-  (* Wall-clock race: true first-finisher-wins on parallel domains. *)
-  let outcome = Lv_multiwalk.Race.wall_clock ~params ~seed:7 ~walkers make in
+  (* Wall-clock race: true first-finisher-wins on parallel domains, one
+     pool worker per walker. *)
+  let outcome =
+    Lv_exec.Pool.with_pool ~domains:walkers @@ fun pool ->
+    Lv_multiwalk.Race.wall_clock ~params ~pool ~seed:7 ~walkers make
+  in
   Format.printf "wall-clock race:   %a@." Lv_multiwalk.Race.pp_outcome outcome;
 
   (* Iteration-metric race: every walker runs to completion; the multi-walk

@@ -9,8 +9,8 @@
 
 type t = {
   pool : Lv_exec.Pool.t option;
-      (** executor shared by every parallel phase; [None] = each callee's
-          default (the process-wide shared pool, or a campaign-scoped one) *)
+      (** executor shared by every parallel phase; [None] = every stage
+          runs on the calling domain ({!Lv_exec.Pool.serial}) *)
   telemetry : Lv_telemetry.Sink.t;  (** default: the null sink *)
   cache_dir : string option;
       (** directory for the content-addressed artifact store

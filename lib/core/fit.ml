@@ -155,8 +155,9 @@ let fit_one ?alpha ?(telemetry = Lv_telemetry.Sink.null) candidate xs =
 let compare_by_p_value a b =
   Float.compare b.ks.Kolmogorov.p_value a.ks.Kolmogorov.p_value
 
-let fit ?alpha ?pool ?(telemetry = Lv_telemetry.Sink.null)
-    ?(candidates = all_candidates) ?(n_censored = 0) xs =
+let fit ?alpha ?(pool = Lv_exec.Pool.serial)
+    ?(telemetry = Lv_telemetry.Sink.null) ?(candidates = all_candidates)
+    ?(n_censored = 0) xs =
   if Array.length xs = 0 then invalid_arg "Fit.fit: empty sample";
   if n_censored < 0 then invalid_arg "Fit.fit: n_censored must be nonnegative";
   let accepted_cell = ref 0 in
@@ -169,12 +170,11 @@ let fit ?alpha ?pool ?(telemetry = Lv_telemetry.Sink.null)
         ("accepted", Lv_telemetry.Json.Int !accepted_cell);
       ])
   @@ fun () ->
-  let p = match pool with Some p -> p | None -> Lv_exec.Pool.default () in
   (* Sorted once here instead of once per candidate's KS test. *)
   let sorted = Array.copy xs in
   Float_sort.sort ~what:"Fit.fit" sorted;
   let fits =
-    Lv_exec.Pool.parallel_map p
+    Lv_exec.Pool.parallel_map pool
       (fun c ->
         fit_one_at ?alpha ~telemetry ~path:"fit/fit.candidate"
           ~ks_sample:sorted c xs)

@@ -102,9 +102,10 @@ val fit :
   report
 (** Run the whole pool (default {!all_candidates}) at significance [alpha]
     (default 0.05).  Candidates are fitted in parallel on [pool] (default
-    {!Lv_exec.Pool.default}); the report is deterministic regardless of
-    pool size.  Candidates that estimate the {e same} law (e.g. a shifted
-    family whose best shift degenerates to 0) appear once in [fits].
+    {!Lv_exec.Pool.serial}: one after another on the calling domain); the
+    report is deterministic regardless of pool size.  Candidates that
+    estimate the {e same} law (e.g. a shifted family whose best shift
+    degenerates to 0) appear once in [fits].
     [n_censored] (default 0) declares how many budget-censored runs the
     sample excludes; it feeds the report's censoring fields and warning
     rather than the estimators themselves.  The whole run is wrapped in a

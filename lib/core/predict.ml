@@ -28,9 +28,8 @@ let traced_curve telemetry pool law ~cores =
       (Array.of_list cores)
     |> Array.to_list
 
-let of_fit ?pool ?(telemetry = Lv_telemetry.Sink.null) ~label ~cores
-    (report : Fit.report) law =
-  let pool = match pool with Some p -> p | None -> Lv_exec.Pool.default () in
+let of_fit ?(pool = Lv_exec.Pool.serial) ?(telemetry = Lv_telemetry.Sink.null)
+    ~label ~cores (report : Fit.report) law =
   Lv_telemetry.Span.run telemetry ~name:"predict"
     ~fields:(fun () ->
       [

@@ -21,12 +21,13 @@ val of_dataset :
 (** Fit the dataset (keeping the best accepted candidate, or the highest
     p-value fit when nothing clears [alpha]) and predict speed-ups at
     [cores].  Both the candidate fits and the per-core-count quadratures
-    run on [pool] (default {!Lv_exec.Pool.default}); results are
-    deterministic regardless of pool size.  With a live [telemetry] sink
-    the fit emits its spans (see {!Fit.fit}) and the prediction wraps in a
-    ["predict"] span containing one timed ["predict/predict.speedup"]
-    event per core count (the quadrature cost of each {!Speedup.at}
-    evaluation), emitted under that fixed path whatever worker ran it. *)
+    run on [pool] (default {!Lv_exec.Pool.serial}: the calling domain);
+    results are deterministic regardless of pool size.  With a live
+    [telemetry] sink the fit emits its spans (see {!Fit.fit}) and the
+    prediction wraps in a ["predict"] span containing one timed
+    ["predict/predict.speedup"] event per core count (the quadrature cost
+    of each {!Speedup.at} evaluation), emitted under that fixed path
+    whatever worker ran it. *)
 
 val of_report :
   ?pool:Lv_exec.Pool.t ->

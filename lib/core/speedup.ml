@@ -16,17 +16,13 @@ let at d ~cores =
   else mean_of d /. Min_dist.expectation d ~n:cores
 
 (* Each core count is an independent quadrature (E[Z^(n)] integrates a
-   different integrand), so with a pool they are evaluated as one task per
-   count; results are slotted by index, so the list is identical either
-   way. *)
-let curve ?pool d ~cores =
-  match pool with
-  | None -> List.map (fun n -> { cores = n; speedup = at d ~cores:n }) cores
-  | Some p ->
-    Lv_exec.Pool.parallel_map p
-      (fun n -> { cores = n; speedup = at d ~cores:n })
-      (Array.of_list cores)
-    |> Array.to_list
+   different integrand), so they are evaluated as one pool task per count;
+   results are slotted by index, so the list is identical on any pool. *)
+let curve ?(pool = Lv_exec.Pool.serial) d ~cores =
+  Lv_exec.Pool.parallel_map pool
+    (fun n -> { cores = n; speedup = at d ~cores:n })
+    (Array.of_list cores)
+  |> Array.to_list
 
 let limit (d : Distribution.t) =
   let mean = mean_of d in

@@ -17,9 +17,10 @@ val curve :
   Lv_stats.Distribution.t ->
   cores:int list ->
   point list
-(** One {!at} evaluation per core count.  With [pool] the quadratures
-    run as one pool task each (they are independent integrals); the
-    result is identical to the serial evaluation, in input order. *)
+(** One {!at} evaluation per core count, in input order.  The quadratures
+    run as one task each on [pool] (default {!Lv_exec.Pool.serial}: the
+    calling domain); they are independent integrals, so the result is the
+    same on any pool. *)
 
 val limit : Lv_stats.Distribution.t -> float
 (** [lim_{n→∞} G_n]: [E[Y] / inf support] when the support's lower end

@@ -32,7 +32,10 @@ let campaign_key (sc : Scenario.t) =
         ("size", string_of_int sc.Scenario.size);
         ("runs", string_of_int sc.Scenario.runs);
         ("walk", opt_float sc.Scenario.walk);
-        ("iteration_cap", opt_int sc.Scenario.iteration_cap);
+        (* The scenario's former solver cap, now [max_iters]; kept
+           constant so the key of every scenario that never set it is
+           unchanged. *)
+        ("iteration_cap", "default");
         ("timeout", opt_float sc.Scenario.timeout);
         ("max_iters", opt_int sc.Scenario.max_iters);
       ]

@@ -53,12 +53,13 @@ type outcome = {
 
 val run : ?ctx:Lv_context.Context.t -> Scenario.t -> outcome
 (** Execute the scenario under the context (default
-    {!Lv_context.Context.default}: default pools, null telemetry, no
-    cache).  Deterministic for a given scenario: datasets and predictions
-    are byte-identical whatever the pool size and whether stages were
-    computed or served from cache.  Raises [Failure] / [Invalid_argument]
-    on an invalid scenario, and lets stage exceptions propagate (nothing
-    half-written: artifact and output writes are atomic). *)
+    {!Lv_context.Context.default}: no pool, so every stage runs on the
+    calling domain; null telemetry; no cache).  Deterministic for a given
+    scenario: datasets and predictions are byte-identical whatever the
+    pool size and whether stages were computed or served from cache.
+    Raises [Failure] / [Invalid_argument] on an invalid scenario, and
+    lets stage exceptions propagate (nothing half-written: artifact and
+    output writes are atomic). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** Human-readable digest: dataset summary, fit verdict, prediction curve,

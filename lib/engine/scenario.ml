@@ -23,7 +23,6 @@ type t = {
   cores : int list;
   metric : [ `Iterations | `Seconds ];
   walk : float option;
-  iteration_cap : int option;
   timeout : float option;
   max_iters : int option;
   alpha : float option;
@@ -58,9 +57,6 @@ let validate t =
   (match t.walk with
   | Some w when not (w >= 0. && w <= 1.) ->
     fail "scenario: walk must lie in [0, 1]"
-  | _ -> ());
-  (match t.iteration_cap with
-  | Some n when n <= 0 -> fail "scenario: iteration-cap must be positive"
   | _ -> ());
   (match t.timeout with
   | Some s when not (Float.is_finite s && s > 0.) ->
@@ -109,9 +105,9 @@ let normalize_stages stages =
   List.filter (fun st -> List.mem st stages) all_stages
 
 let make ?name ?(runs = 200) ?(seed = 1) ?(cores = [ 16; 32; 64; 128; 256 ])
-    ?(metric = `Iterations) ?walk ?iteration_cap ?timeout ?max_iters ?alpha
-    ?candidates ?(stages = default_stages) ?validate:validate_config
-    ?output_dir ~problem ~size () =
+    ?(metric = `Iterations) ?walk ?timeout ?max_iters ?alpha ?candidates
+    ?(stages = default_stages) ?validate:validate_config ?output_dir ~problem
+    ~size () =
   let t =
     validate
       {
@@ -125,7 +121,6 @@ let make ?name ?(runs = 200) ?(seed = 1) ?(cores = [ 16; 32; 64; 128; 256 ])
         cores;
         metric;
         walk;
-        iteration_cap;
         timeout;
         max_iters;
         alpha;
@@ -235,7 +230,6 @@ let of_string ?(path = "<scenario>") text =
       perr line "key \"metric\": expected iterations or seconds, got %S" v
   in
   let walk = get_float "walk" in
-  let iteration_cap = get_int "iteration_cap" in
   let timeout = get_float "timeout" in
   let max_iters = get_int "max_iters" in
   let alpha = get_float "alpha" in
@@ -320,9 +314,9 @@ let of_string ?(path = "<scenario>") text =
       if not (List.mem key !used) then perr line "unknown key %S" key)
     fields;
   try
-    make ?name ?runs ?seed ?cores ?metric ?walk ?iteration_cap ?timeout
-      ?max_iters ?alpha ?candidates ?stages ?validate:validate_config
-      ?output_dir ~problem ~size ()
+    make ?name ?runs ?seed ?cores ?metric ?walk ?timeout ?max_iters ?alpha
+      ?candidates ?stages ?validate:validate_config ?output_dir ~problem
+      ~size ()
   with Failure m -> failwith (Printf.sprintf "%s: %s" path m)
 
 let of_file path =
@@ -351,7 +345,6 @@ let to_string t =
   line "metric = %s"
     (match t.metric with `Iterations -> "iterations" | `Seconds -> "seconds");
   opt "walk" (Printf.sprintf "%.17g") t.walk;
-  opt "iteration-cap" string_of_int t.iteration_cap;
   opt "timeout" (Printf.sprintf "%.17g") t.timeout;
   opt "max-iters" string_of_int t.max_iters;
   opt "alpha" (Printf.sprintf "%.17g") t.alpha;
@@ -370,13 +363,8 @@ let to_string t =
 
 let params t =
   let base = Lv_problems.Defaults.params t.problem t.size in
-  let base =
-    match t.walk with
-    | Some w -> { base with Lv_search.Params.prob_select_loc_min = w }
-    | None -> base
-  in
-  match t.iteration_cap with
-  | Some cap -> { base with Lv_search.Params.max_iterations = cap }
+  match t.walk with
+  | Some w -> { base with Lv_search.Params.prob_select_loc_min = w }
   | None -> base
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

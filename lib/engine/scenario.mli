@@ -24,8 +24,7 @@
     metric     = iterations         ; or: seconds
     alpha      = 0.05
     candidates = paper              ; or: all, or a comma list of names
-    walk       = 0.5                ; optional solver parameters
-    iteration-cap = 2000000         ; solver max_iterations
+    walk       = 0.5                ; optional solver parameter
     timeout    = 30.0               ; per-run wall budget (censoring)
     max-iters  = 100000             ; per-run iteration budget (censoring)
     stages     = campaign,fit,predict,simulate,compare
@@ -53,7 +52,6 @@ type t = {
   cores : int list;
   metric : [ `Iterations | `Seconds ];
   walk : float option;  (** [prob_select_loc_min] override *)
-  iteration_cap : int option;  (** solver [max_iterations] override *)
   timeout : float option;  (** per-run wall budget (censored beyond it) *)
   max_iters : int option;  (** per-run iteration budget (censored beyond it) *)
   alpha : float option;  (** KS level; [None] = 0.05 *)
@@ -83,7 +81,6 @@ val make :
   ?cores:int list ->
   ?metric:[ `Iterations | `Seconds ] ->
   ?walk:float ->
-  ?iteration_cap:int ->
   ?timeout:float ->
   ?max_iters:int ->
   ?alpha:float ->
@@ -119,7 +116,8 @@ val to_string : t -> string
 
 val params : t -> Lv_search.Params.t
 (** The resolved solver parameters: the problem's tuned defaults with
-    [walk]/[iteration_cap] applied. *)
+    [walk] applied.  The iteration cap is [max_iters], applied per run as
+    a {!Lv_multiwalk.Run.budget}. *)
 
 val has_stage : t -> stage -> bool
 val pp : Format.formatter -> t -> unit

@@ -4,33 +4,38 @@ type worker = {
   mutable executed : int;  (* idem *)
 }
 
-type t = {
+type domains = {
   size : int;
   workers : worker array;
   mutable spawned : unit Domain.t array;
   lock : Mutex.t;  (* guards [stopping] and the sleep protocol *)
   work_cond : Condition.t;
   mutable stopping : bool;
-  rr : int Atomic.t;  (* round-robin cursor for [submit] *)
   telemetry : Lv_telemetry.Sink.t;
   tasks_executed : int Atomic.t;
   steals : int Atomic.t;
 }
 
+(* [Serial] is immutable, so one value serves every caller. *)
+type t = Serial | Domains of domains
+
+let serial = Serial
+
 (* Which pool/worker the current domain belongs to, for re-entrant calls
    and worker-local state.  Set once per worker domain, never for callers. *)
-let slot_key : (t * int) option Domain.DLS.key =
+let slot_key : (domains * int) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
-
-let worker_index () =
-  match Domain.DLS.get slot_key with Some (_, w) -> Some w | None -> None
 
 let my_slot pool =
   match Domain.DLS.get slot_key with
   | Some (p, w) when p == pool -> Some w
   | _ -> None
 
-let size t = t.size
+let worker_index = function
+  | Serial -> Some 0
+  | Domains pool -> my_slot pool
+
+let size = function Serial -> 1 | Domains pool -> pool.size
 
 (* ------------------------------------------------------------------ *)
 (* Task execution                                                      *)
@@ -39,15 +44,15 @@ let size t = t.size
 let exec pool w task =
   let worker = pool.workers.(w) in
   (* Count before running: barriers are released from *inside* the thunk
-     ([finish_one] in [parallel_map]/[submit]), so accounting done after
-     the call races with a caller reading [stats] right after its barrier
-     — the final task could still be uncounted. *)
+     ([finish_one] in [parallel_map]), so accounting done after the call
+     races with a caller reading [stats] right after its barrier — the
+     final task could still be uncounted. *)
   worker.executed <- worker.executed + 1;
   Atomic.incr pool.tasks_executed;
   let start = Lv_telemetry.Clock.now_ns () in
-  (* Queued thunks catch their own user exceptions (see [parallel_map] /
-     [submit]); a raise here would be a pool bug, and letting it kill the
-     worker would hang every subsequent barrier, so it is contained. *)
+  (* Queued thunks catch their own user exceptions (see [parallel_map]);
+     a raise here would be a pool bug, and letting it kill the worker
+     would hang every subsequent barrier, so it is contained. *)
   (try task () with _ -> ());
   worker.busy_s <-
     worker.busy_s
@@ -123,14 +128,13 @@ let create ?(telemetry = Lv_telemetry.Sink.null) ?domains () =
       lock = Mutex.create ();
       work_cond = Condition.create ();
       stopping = false;
-      rr = Atomic.make 0;
       telemetry;
       tasks_executed = Atomic.make 0;
       steals = Atomic.make 0;
     }
   in
   pool.spawned <- Array.init size (fun w -> Domain.spawn (worker_main pool w));
-  pool
+  Domains pool
 
 type stats = {
   domains : int;
@@ -141,23 +145,33 @@ type stats = {
   worker_tasks : int array;
 }
 
-let stats pool =
-  {
-    domains = pool.size;
-    tasks = Atomic.get pool.tasks_executed;
-    steals = Atomic.get pool.steals;
-    queue_high_water =
-      Array.fold_left
-        (fun acc worker -> Int.max acc (Deque.high_water worker.deque))
-        0 pool.workers;
-    busy_seconds = Array.map (fun worker -> worker.busy_s) pool.workers;
-    worker_tasks = Array.map (fun worker -> worker.executed) pool.workers;
-  }
+let stats = function
+  | Serial ->
+    {
+      domains = 1;
+      tasks = 0;
+      steals = 0;
+      queue_high_water = 0;
+      busy_seconds = [| 0. |];
+      worker_tasks = [| 0 |];
+    }
+  | Domains pool ->
+    {
+      domains = pool.size;
+      tasks = Atomic.get pool.tasks_executed;
+      steals = Atomic.get pool.steals;
+      queue_high_water =
+        Array.fold_left
+          (fun acc worker -> Int.max acc (Deque.high_water worker.deque))
+          0 pool.workers;
+      busy_seconds = Array.map (fun worker -> worker.busy_s) pool.workers;
+      worker_tasks = Array.map (fun worker -> worker.executed) pool.workers;
+    }
 
 let emit_stats pool =
   let sink = pool.telemetry in
   if not (Lv_telemetry.Sink.is_null sink) then begin
-    let s = stats pool in
+    let s = stats (Domains pool) in
     let count path value fields =
       Lv_telemetry.Sink.record sink
         (Lv_telemetry.Event.make
@@ -183,45 +197,30 @@ let emit_stats pool =
       s.busy_seconds
   end
 
-let shutdown pool =
-  let first =
-    Mutex.lock pool.lock;
-    let first = not pool.stopping in
+let shutdown = function
+  | Serial -> ()
+  | Domains pool ->
+    let first =
+      Mutex.lock pool.lock;
+      let first = not pool.stopping in
+      if first then begin
+        pool.stopping <- true;
+        Condition.broadcast pool.work_cond
+      end;
+      Mutex.unlock pool.lock;
+      first
+    in
     if first then begin
-      pool.stopping <- true;
-      Condition.broadcast pool.work_cond
-    end;
-    Mutex.unlock pool.lock;
-    first
-  in
-  if first then begin
-    Array.iter Domain.join pool.spawned;
-    emit_stats pool
-  end
+      Array.iter Domain.join pool.spawned;
+      emit_stats pool
+    end
 
 let with_pool ?telemetry ?domains f =
   let pool = create ?telemetry ?domains () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
-let default_lock = Mutex.create ()
-let default_pool = ref None
-
-let default () =
-  Mutex.lock default_lock;
-  let pool =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-      let p = create () in
-      default_pool := Some p;
-      at_exit (fun () -> try shutdown p with _ -> ());
-      p
-  in
-  Mutex.unlock default_lock;
-  pool
-
 (* ------------------------------------------------------------------ *)
-(* Submission                                                          *)
+(* Mapping                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let check_live pool =
@@ -234,8 +233,8 @@ let wake_all pool =
 
 (* Blocking from inside a worker would starve the pool (deadlock on a pool
    of one), so a worker that must wait runs queued tasks instead; the brief
-   cpu_relax spin only happens while the last stragglers of the awaited job
-   are in flight on other workers. *)
+   cpu_relax spin only happens while the last stragglers of the job being
+   waited on are in flight on other workers. *)
 let help_while pool w not_done =
   while not_done () do
     match find_task pool w with
@@ -279,7 +278,8 @@ let wait_job pool job =
     done;
     Mutex.unlock job.jlock
 
-let parallel_map (type b) ?cancel ?(skipped : b option) pool (f : _ -> b) xs =
+let map_on_domains (type b) ?cancel ?(skipped : b option) pool
+    (f : _ -> b) xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
@@ -328,57 +328,14 @@ let parallel_map (type b) ?cancel ?(skipped : b option) pool (f : _ -> b) xs =
         results
   end
 
-let parallel_iter ?cancel pool f xs =
-  ignore (parallel_map ?cancel ~skipped:() pool f xs)
-
-type 'a state = Pending | Returned of 'a | Raised of exn * Printexc.raw_backtrace
-
-type 'a promise = {
-  owner : t;
-  plock : Mutex.t;
-  pcond : Condition.t;
-  mutable state : 'a state;
-}
-
-let submit pool f =
-  check_live pool;
-  let promise =
-    { owner = pool; plock = Mutex.create (); pcond = Condition.create ();
-      state = Pending }
-  in
-  let task () =
-    let outcome =
-      match f () with
-      | v -> Returned v
-      | exception exn -> Raised (exn, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock promise.plock;
-    promise.state <- outcome;
-    Condition.broadcast promise.pcond;
-    Mutex.unlock promise.plock
-  in
-  let w = Atomic.fetch_and_add pool.rr 1 mod pool.size in
-  Deque.push pool.workers.(w).deque task;
-  wake_all pool;
-  promise
-
-let await promise =
-  let pool = promise.owner in
-  let pending () =
-    Mutex.lock promise.plock;
-    let p = match promise.state with Pending -> true | _ -> false in
-    Mutex.unlock promise.plock;
-    p
-  in
-  (match my_slot pool with
-  | Some w -> help_while pool w pending
-  | None ->
-    Mutex.lock promise.plock;
-    while (match promise.state with Pending -> true | _ -> false) do
-      Condition.wait promise.pcond promise.plock
-    done;
-    Mutex.unlock promise.plock);
-  match promise.state with
-  | Returned v -> v
-  | Raised (exn, bt) -> Printexc.raise_with_backtrace exn bt
-  | Pending -> assert false
+(* The serial pool runs each task on the caller, in index order.  Its
+   semantics match [map_on_domains]: a cancelled task takes [skipped], and
+   the first exception stops the map and propagates with its backtrace. *)
+let parallel_map ?cancel ?skipped pool f xs =
+  match pool with
+  | Domains pool -> map_on_domains ?cancel ?skipped pool f xs
+  | Serial -> (
+    match (skipped, cancel) with
+    | Some s, Some c ->
+      Array.map (fun x -> if Cancel.is_set c then s else f x) xs
+    | _ -> Array.map f xs)

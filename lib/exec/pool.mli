@@ -8,15 +8,19 @@
     {!Deque}: it pushes and pops its own work LIFO and steals FIFO from
     the others when it runs dry.
 
+    Every library entry point that takes [?pool] defaults to {!serial}:
+    no pool given means the work runs on the calling domain.  Parallelism
+    is opted into by passing a pool from {!create} or {!with_pool}.
+
     {2 Sizing}
 
-    The default size is [Domain.recommended_domain_count ()] — the bound
-    the pool is designed around: one worker per core the runtime
-    recommends.  An explicit [domains] may exceed it (stress tests
-    deliberately oversubscribe, e.g. the CI job running the race
-    regressions with [--pool-domains 8] on a 4-core runner); it is
-    hard-capped at 126 so a misconfigured flag cannot hit the runtime's
-    domain limit.
+    {!create}'s default size is [Domain.recommended_domain_count ()]: one
+    worker per core the runtime recommends.  An explicit [domains] may
+    exceed it (stress tests deliberately oversubscribe, e.g. the CI job
+    running the race regressions with [--pool-domains 8] on a 4-core
+    runner); it is hard-capped at 126 so a misconfigured flag cannot hit
+    the runtime's domain limit.  {!serial} has no worker domains; its
+    [size] is 1, the calling domain.
 
     {2 Determinism}
 
@@ -34,12 +38,13 @@
 
     {2 Thread model}
 
-    Callers never execute tasks themselves; work runs only on the pool's
-    domains.  The exception is re-entrancy: a task that itself calls
-    [parallel_map]/[await] on its own pool helps execute queued tasks
-    instead of blocking, so nested parallelism cannot deadlock, even on a
-    pool of one.  A pool may be shared by several calling domains; each
-    call's barrier is independent.
+    On a pool from {!create}, callers never execute tasks themselves;
+    work runs only on the pool's domains.  The exception is re-entrancy:
+    a task that itself calls [parallel_map] on its own pool helps execute
+    queued tasks instead of blocking, so nested parallelism cannot
+    deadlock, even on a pool of one.  A pool may be shared by several
+    calling domains; each call's barrier is independent.  On {!serial},
+    every task runs on the calling domain, in index order.
 
     [shutdown] must not race in-flight calls: finish (or cancel) your
     jobs, then shut down — {!with_pool} scopes this for you. *)
@@ -57,19 +62,24 @@ val with_pool :
   ?telemetry:Lv_telemetry.Sink.t -> ?domains:int -> (t -> 'a) -> 'a
 (** [with_pool f] = create, run [f], always {!shutdown} (also on raise). *)
 
-val default : unit -> t
-(** The process-wide shared pool, created on first use at the default
-    size and shut down via [at_exit].  Every library entry point that
-    takes [?pool] falls back to this, so independent call sites share one
-    set of worker domains. *)
+val serial : t
+(** The pool with no worker domains: {!parallel_map} runs every task on
+    the calling domain, in index order, with the same result slotting,
+    cancellation and exception semantics as a real pool.  It spawns
+    nothing and holds no mutable state, so one value serves every caller,
+    including tasks of another pool.  {!shutdown} does nothing and
+    {!stats} reports zero tasks. *)
 
 val size : t -> int
-(** Number of worker domains. *)
+(** Number of domains that execute the pool's tasks: its worker count, or
+    1 for {!serial}. *)
 
-val worker_index : unit -> int option
-(** [Some w] when the calling code runs inside worker [w] of some pool
-    ([0 <= w < size]); [None] on any other domain.  Lets tasks keep
-    cheap worker-local state (e.g. one solver instance per worker). *)
+val worker_index : t -> int option
+(** [Some w] when the calling domain executes tasks of [pool] as its
+    worker [w] ([0 <= w < size pool]); [None] on any other domain.  On
+    {!serial}, whose one worker is the caller, always [Some 0].  Lets
+    tasks keep cheap worker-local state (e.g. one solver instance per
+    worker), looked up per pool so nested pools never share a slot. *)
 
 val parallel_map :
   ?cancel:Cancel.t -> ?skipped:'b -> t -> ('a -> 'b) -> 'a array -> 'b array
@@ -82,21 +92,7 @@ val parallel_map :
     cooperative — [f] still runs for every element and is expected to
     consult the token itself and return quickly.  Tasks already running
     are never interrupted (cooperative model); the barrier waits for
-    them. *)
-
-val parallel_iter : ?cancel:Cancel.t -> t -> ('a -> unit) -> 'a array -> unit
-(** [parallel_map] without results.  With [cancel] set, unstarted tasks
-    are skipped. *)
-
-type 'a promise
-
-val submit : t -> (unit -> 'a) -> 'a promise
-(** Queue one task; raises [Invalid_argument] on a shut-down pool. *)
-
-val await : 'a promise -> 'a
-(** Block until the task completes; re-raises its exception (with
-    backtrace) if it raised.  Safe from a worker of the same pool: the
-    waiter helps execute queued tasks instead of blocking. *)
+    them.  Raises [Invalid_argument] on a shut-down pool. *)
 
 type stats = {
   domains : int;

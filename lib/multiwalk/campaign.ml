@@ -27,15 +27,14 @@ let restore_slots ~path ~seed ~runs =
     (Checkpoint.load path);
   slots
 
-let run_fn ?(domains = 1) ?pool ?progress ?(telemetry = Lv_telemetry.Sink.null)
-    ?checkpoint ?(retry = Retry.none) ~label ~seed ~runs make_runner =
+let run_fn ?(pool = Lv_exec.Pool.serial) ?progress
+    ?(telemetry = Lv_telemetry.Sink.null) ?checkpoint ?(retry = Retry.none)
+    ~label ~seed ~runs make_runner =
   if runs <= 0 then invalid_arg "Campaign.run: runs must be positive";
-  if domains <= 0 then invalid_arg "Campaign.run: domains must be positive";
   if retry.Retry.max_attempts <= 0 then
     invalid_arg "Campaign.run: retry.max_attempts must be positive";
   let traced = not (Lv_telemetry.Sink.is_null telemetry) in
   let n_censored_cell = ref 0 in
-  let pool_size_cell = ref domains in
   let retries = Atomic.make 0 in
   let retried_runs = Atomic.make 0 in
   let restored =
@@ -47,11 +46,6 @@ let run_fn ?(domains = 1) ?pool ?progress ?(telemetry = Lv_telemetry.Sink.null)
     Array.fold_left (fun n s -> if s = None then n else n + 1) 0 restored
   in
   let body () =
-    let with_p f =
-      match pool with
-      | Some p -> f p
-      | None -> Lv_exec.Pool.with_pool ~domains f
-    in
     let with_log f =
       (* Nothing left to append when every run was restored — and opening
          the writer would pointlessly touch the file. *)
@@ -61,16 +55,16 @@ let run_fn ?(domains = 1) ?pool ?progress ?(telemetry = Lv_telemetry.Sink.null)
       | _ -> f None
     in
     with_log @@ fun log ->
-    with_p @@ fun p ->
-    pool_size_cell := Lv_exec.Pool.size p;
     (* One runner per pool worker, created lazily on that worker's first
        run: instances are mutable and must not be shared, but they are
        profitably reused across the runs one worker executes.  Each slot is
-       only ever touched by its own worker. *)
-    let runners = Array.make (Lv_exec.Pool.size p) None in
+       only ever touched by its own worker.  The slot is looked up in this
+       campaign's pool: a serial campaign running inside another pool's
+       task uses its own slot 0, not that pool's worker index. *)
+    let runners = Array.make (Lv_exec.Pool.size pool) None in
     let completed = Atomic.make 0 in
     let fresh_run r =
-      let w = Option.value (Lv_exec.Pool.worker_index ()) ~default:0 in
+      let w = Option.value (Lv_exec.Pool.worker_index pool) ~default:0 in
       let runner =
         match runners.(w) with
         | Some f -> f
@@ -150,7 +144,8 @@ let run_fn ?(domains = 1) ?pool ?progress ?(telemetry = Lv_telemetry.Sink.null)
        were already logged, so the aborted campaign resumes where it
        died. *)
     let observations =
-      Array.to_list (Lv_exec.Pool.parallel_map p one_run (Array.init runs Fun.id))
+      Array.to_list
+        (Lv_exec.Pool.parallel_map pool one_run (Array.init runs Fun.id))
     in
     let n_censored =
       List.length (List.filter (fun o -> not o.Run.solved) observations)
@@ -183,7 +178,7 @@ let run_fn ?(domains = 1) ?pool ?progress ?(telemetry = Lv_telemetry.Sink.null)
       [
         ("label", Lv_telemetry.Json.String label);
         ("runs", Lv_telemetry.Json.Int runs);
-        ("domains", Lv_telemetry.Json.Int !pool_size_cell);
+        ("domains", Lv_telemetry.Json.Int (Lv_exec.Pool.size pool));
         ("seed", Lv_telemetry.Json.Int seed);
         ("censored", Lv_telemetry.Json.Int !n_censored_cell);
         ("retries", Lv_telemetry.Json.Int (Atomic.get retries));
@@ -197,9 +192,9 @@ let censored_iterations result =
          if o.Run.solved then None else Some (float_of_int o.Run.iterations))
   |> Array.of_list
 
-let run ?params ?budget ?domains ?pool ?progress ?telemetry ?checkpoint ?retry
-    ~label ~seed ~runs make_instance =
-  run_fn ?domains ?pool ?progress ?telemetry ?checkpoint ?retry ~label ~seed
+let run ?params ?budget ?pool ?progress ?telemetry ?checkpoint ?retry ~label
+    ~seed ~runs make_instance =
+  run_fn ?pool ?progress ?telemetry ?checkpoint ?retry ~label ~seed
     ~runs (fun () ->
       let packed = make_instance () in
       fun rng -> Run.once ?params ?budget ~rng packed)

@@ -6,8 +6,8 @@
     domains — this parallelism only accelerates data *collection*; each
     observation is still a sequential run.  Execution goes through
     {!Lv_exec.Pool}: pass [?pool] to share one set of worker domains with
-    other phases, or [?domains] to let the campaign scope a private pool
-    for its duration.
+    other phases; without it every run executes on the calling domain
+    ({!Lv_exec.Pool.serial}).
 
     {2 Robustness}
 
@@ -54,7 +54,6 @@ val censored_iterations : result -> float array
 val run :
   ?params:Lv_search.Params.t ->
   ?budget:Run.budget ->
-  ?domains:int ->
   ?pool:Lv_exec.Pool.t ->
   ?progress:(int -> unit) ->
   ?telemetry:Lv_telemetry.Sink.t ->
@@ -68,8 +67,8 @@ val run :
 (** [run ~label ~seed ~runs make_instance] performs [runs] independent
     solves.  [make_instance] is called at most once per pool worker, on that
     worker's first run (instances are mutable and must not be shared).
-    [pool] selects the executor; when absent a private pool of [domains]
-    workers (default 1) is created for the campaign and shut down after.
+    [pool] (default {!Lv_exec.Pool.serial}: the calling domain) selects
+    the executor.
     [progress] is called with the number of completed runs after each
     completion (restored runs count as completed).  Seeding is per-run
     ([seed + run index]) and results are slotted by run index, so the
@@ -87,7 +86,6 @@ val run :
     (label, runs, domains, seed, censored/retries/restored totals). *)
 
 val run_fn :
-  ?domains:int ->
   ?pool:Lv_exec.Pool.t ->
   ?progress:(int -> unit) ->
   ?telemetry:Lv_telemetry.Sink.t ->

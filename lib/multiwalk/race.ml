@@ -30,10 +30,9 @@ let outcome_fields o =
     ("solved", Lv_telemetry.Json.Bool o.solved);
   ]
 
-let wall_clock ?params ?pool ?(telemetry = Lv_telemetry.Sink.null) ~seed
-    ~walkers make_instance =
+let wall_clock ?params ?(pool = Lv_exec.Pool.serial)
+    ?(telemetry = Lv_telemetry.Sink.null) ~seed ~walkers make_instance =
   if walkers <= 0 then invalid_arg "Race.wall_clock: walkers must be positive";
-  let p = match pool with Some p -> p | None -> Lv_exec.Pool.default () in
   let traced = not (Lv_telemetry.Sink.is_null telemetry) in
   let found = Atomic.make (-1) in
   let cancel = Lv_exec.Cancel.create () in
@@ -64,7 +63,7 @@ let wall_clock ?params ?pool ?(telemetry = Lv_telemetry.Sink.null) ~seed
   let outcome_cell = ref None in
   let body () =
     let iters =
-      Lv_exec.Pool.parallel_map ~cancel ~skipped:None p walker
+      Lv_exec.Pool.parallel_map ~cancel ~skipped:None pool walker
         (Array.init walkers Fun.id)
     in
     let seconds =
@@ -99,12 +98,12 @@ let wall_clock ?params ?pool ?(telemetry = Lv_telemetry.Sink.null) ~seed
       match !outcome_cell with Some o -> outcome_fields o | None -> [])
     body
 
-let iteration_metric ?params ?domains ?pool
+let iteration_metric ?params ?(pool = Lv_exec.Pool.serial)
     ?(telemetry = Lv_telemetry.Sink.null) ~seed ~walkers make_instance =
   if walkers <= 0 then invalid_arg "Race.iteration_metric: walkers must be positive";
   let t0 = Lv_telemetry.Clock.now_ns () in
   let c =
-    Campaign.run ?params ?domains ?pool ~telemetry ~label:"race" ~seed
+    Campaign.run ?params ~pool ~telemetry ~label:"race" ~seed
       ~runs:walkers make_instance
   in
   let seconds =

@@ -53,11 +53,6 @@ let salt_trial_bands = 4
 let stream_rng ~seed ~salt index =
   Rng.create ~seed:(stream_seed ~seed ~salt index)
 
-let parallel_map pool f xs =
-  match pool with
-  | Some p -> Lv_exec.Pool.parallel_map p f xs
-  | None -> Array.map f xs
-
 (* ------------------------------------------------------------------ *)
 (* Bootstrap confidence bands                                          *)
 (* ------------------------------------------------------------------ *)
@@ -117,7 +112,9 @@ let bands_for ~pool ~replicates ~level ~seed ~cores
       in
       Some (d.Distribution.params, speedups)
   in
-  let results = parallel_map pool replicate (Array.init replicates Fun.id) in
+  let results =
+    Lv_exec.Pool.parallel_map pool replicate (Array.init replicates Fun.id)
+  in
   let ok = Array.to_list results |> List.filter_map Fun.id in
   let dropped = replicates - List.length ok in
   if ok = [] then
@@ -164,8 +161,9 @@ let bands_for ~pool ~replicates ~level ~seed ~cores
     curve;
   }
 
-let bootstrap_bands ?pool ?(telemetry = Lv_telemetry.Sink.null) ?replicates
-    ?level ~seed ~cores ~report xs =
+let bootstrap_bands ?(pool = Lv_exec.Pool.serial)
+    ?(telemetry = Lv_telemetry.Sink.null) ?replicates ?level ~seed ~cores
+    ~report xs =
   let replicates =
     Option.value replicates ~default:default_config.replicates
   in
@@ -217,7 +215,7 @@ let kfold_indices ~seed ~folds n =
       Array.of_list !members)
 
 let holdout_fold ~alpha ~pool ~candidates ~cores ~fold ~train ~test =
-  let fit = Fit.fit ~alpha ?pool ?candidates train in
+  let fit = Fit.fit ~alpha ~pool ?candidates train in
   let f = chosen_fit fit in
   let law = f.Fit.dist in
   let ks = Kolmogorov.test ~alpha test law.Distribution.cdf in
@@ -243,8 +241,9 @@ let holdout_fold ~alpha ~pool ~candidates ~cores ~fold ~train ~test =
     speedup_err;
   }
 
-let holdout ?pool ?(telemetry = Lv_telemetry.Sink.null) ?(alpha = 0.05)
-    ?candidates ?folds ~seed ~cores xs =
+let holdout ?(pool = Lv_exec.Pool.serial)
+    ?(telemetry = Lv_telemetry.Sink.null) ?(alpha = 0.05) ?candidates ?folds
+    ~seed ~cores xs =
   let folds = Option.value folds ~default:default_config.folds in
   if folds < 2 then invalid_arg "Validate.holdout: folds must be at least 2";
   let n = Array.length xs in
@@ -312,9 +311,9 @@ type trial_outcome = {
   t_rejected : bool;  (** held-out split-half KS rejected *)
 }
 
-let oracle ?pool ?(telemetry = Lv_telemetry.Sink.null) ?(alpha = 0.05)
-    ?replicates ?level ?trials ~seed ~cores ~runs ~candidate
-    ~(truth : Distribution.t) () =
+let oracle ?(pool = Lv_exec.Pool.serial)
+    ?(telemetry = Lv_telemetry.Sink.null) ?(alpha = 0.05) ?replicates ?level
+    ?trials ~seed ~cores ~runs ~candidate ~(truth : Distribution.t) () =
   let replicates =
     Option.value replicates ~default:default_config.replicates
   in
@@ -347,7 +346,7 @@ let oracle ?pool ?(telemetry = Lv_telemetry.Sink.null) ?(alpha = 0.05)
          identical either way. *)
       let bands =
         match
-          bands_for ~pool:None ~replicates ~level
+          bands_for ~pool:Lv_exec.Pool.serial ~replicates ~level
             ~seed:(stream_seed ~seed ~salt:salt_trial_bands t)
             ~cores ~candidate f.Fit.dist xs
         with
@@ -408,7 +407,9 @@ let oracle ?pool ?(telemetry = Lv_telemetry.Sink.null) ?(alpha = 0.05)
               t_rejected = not ks.Kolmogorov.accept;
             }))
   in
-  let outcomes = parallel_map pool one_trial (Array.init trials Fun.id) in
+  let outcomes =
+    Lv_exec.Pool.parallel_map pool one_trial (Array.init trials Fun.id)
+  in
   let ok = Array.to_list outcomes |> List.filter_map Fun.id in
   let failures = trials - List.length ok in
   let n_ok = List.length ok in
@@ -503,8 +504,9 @@ type report = {
   calibration : oracle_report option;
 }
 
-let run ?pool ?(telemetry = Lv_telemetry.Sink.null) ?(alpha = 0.05) ?candidates
-    ~config ~seed ~cores ~label ~(report : Fit.report) xs =
+let run ?(pool = Lv_exec.Pool.serial) ?(telemetry = Lv_telemetry.Sink.null)
+    ?(alpha = 0.05) ?candidates ~config ~seed ~cores ~label
+    ~(report : Fit.report) xs =
   check_config config;
   Lv_telemetry.Span.run telemetry ~name:"validate"
     ~fields:(fun () ->
@@ -517,11 +519,11 @@ let run ?pool ?(telemetry = Lv_telemetry.Sink.null) ?(alpha = 0.05) ?candidates
       ])
   @@ fun () ->
   let bootstrap =
-    bootstrap_bands ?pool ~telemetry ~replicates:config.replicates
+    bootstrap_bands ~pool ~telemetry ~replicates:config.replicates
       ~level:config.level ~seed ~cores ~report xs
   in
   let cross_validation =
-    holdout ?pool ~telemetry ~alpha ?candidates ~folds:config.folds ~seed
+    holdout ~pool ~telemetry ~alpha ?candidates ~folds:config.folds ~seed
       ~cores xs
   in
   let calibration =
@@ -532,7 +534,7 @@ let run ?pool ?(telemetry = Lv_telemetry.Sink.null) ?(alpha = 0.05) ?candidates
          datasets of the same size. *)
       let base = chosen_fit report in
       Some
-        (oracle ?pool ~telemetry ~alpha ~replicates:config.replicates
+        (oracle ~pool ~telemetry ~alpha ~replicates:config.replicates
            ~level:config.level ~trials:config.trials ~seed ~cores
            ~runs:(Array.length xs) ~candidate:base.Fit.candidate
            ~truth:base.Fit.dist ())

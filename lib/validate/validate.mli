@@ -10,9 +10,12 @@
       bootstrap the {e whole} pipeline — resample the dataset, refit,
       repredict — attaching a {!Lv_stats.Bootstrap.interval} to every
       fitted parameter and every point of the speed-up curve.  Replicates
-      run in parallel on the shared {!Lv_exec.Pool} with a deterministic
-      RNG stream per replicate derived from the seed, so the bands are
+      run as tasks of an {!Lv_exec.Pool} with a deterministic RNG stream
+      per replicate derived from the seed, so the bands are
       byte-identical for any pool size.
+
+    Every entry point below takes [?pool], default {!Lv_exec.Pool.serial}:
+    without a pool the work runs on the calling domain.
     - {e Held-out cross-validation} ({!holdout}): seeded k-fold split;
       fit on the train split, report the KS statistic/p-value of the
       fitted law against the held-out split and the predicted-vs-
@@ -167,7 +170,8 @@ val oracle :
     (default 200) synthetic datasets of [runs] i.i.d. draws from [truth],
     runs fit → bootstrap-bands → holdout-KS on each, and aggregates
     coverage, recovery error and the false-rejection count.  Trials run
-    in parallel on the pool, each under its own deterministic stream.
+    as tasks of the pool, each under its own deterministic stream; each
+    trial's bootstrap bands run serially inside it.
     [candidate] names the family being calibrated; [truth] must be a law
     of that family for coverage to be meaningful. *)
 

@@ -272,7 +272,7 @@ let test_golden_speedups_pool_invariant () =
     (fun (b, table) ->
       let law = Paper_data.fitted_law b in
       let cores = List.map fst table in
-      let serial = Speedup.curve law ~cores in
+      let serial = Speedup.curve ~pool:Lv_exec.Pool.serial law ~cores in
       Lv_exec.Pool.with_pool ~domains:1 @@ fun p1 ->
       Lv_exec.Pool.with_pool ~domains:4 @@ fun p4 ->
       let name tag =

@@ -75,9 +75,8 @@ let test_scenario_parse_full () =
      cores = 2, 4, 8\n\
      metric = seconds\n\
      walk = 0.5\n\
-     iteration-cap = 1000\n\
      timeout = 2.5\n\
-     max_iters = 800\n\
+     max-iters = 800\n\
      alpha = 0.01\n\
      candidates = paper\n\
      stages = compare,simulate,predict,fit,campaign,campaign\n\
@@ -89,7 +88,12 @@ let test_scenario_parse_full () =
   Alcotest.(check bool) "metric" true (sc.Scenario.metric = `Seconds);
   Alcotest.(check bool) "walk" true (sc.Scenario.walk = Some 0.5);
   Alcotest.(check bool) "key spelling - = _" true
-    (sc.Scenario.iteration_cap = Some 1000 && sc.Scenario.max_iters = Some 800);
+    (sc.Scenario.max_iters = Some 800);
+  let underscored =
+    Scenario.of_string (minimal ^ "max_iters = 800\n")
+  in
+  Alcotest.(check bool) "key spelling _ accepted" true
+    (underscored.Scenario.max_iters = Some 800);
   Alcotest.(check bool) "paper candidates expanded" true
     (sc.Scenario.candidates = Some Lv_core.Fit.paper_candidates);
   Alcotest.(check bool) "stages normalized to pipeline order" true
@@ -114,6 +118,8 @@ let test_scenario_parse_errors () =
   expect_parse_error ~substring:"missing required key" "[scenario]\nsize = 3\n";
   expect_parse_error ~substring:"f.conf:2" "[scenario]\nnonsense\n";
   expect_parse_error ~substring:"unknown key" (minimal ^ "frob = 1\n");
+  (* The solver cap is [max-iters]; the old duplicate key is gone. *)
+  expect_parse_error ~substring:"unknown key" (minimal ^ "iteration-cap = 9\n");
   expect_parse_error ~substring:"duplicate key" (minimal ^ "size = 4\n");
   expect_parse_error ~substring:"unknown section" "[other]\n";
   expect_parse_error ~substring:"not an integer" (minimal ^ "runs = many\n");
@@ -183,7 +189,6 @@ let gen_valid_scenario =
   let cores = if cores = [] then [ 2 ] else cores in
   let* metric = oneofl [ `Iterations; `Seconds ] in
   let* walk = opt (float_range 0. 1.) in
-  let* iteration_cap = opt (int_range 1 1_000_000) in
   let* timeout = opt (float_range 0.001 3600.) in
   let* max_iters = opt (int_range 1 1_000_000) in
   let* alpha = opt (float_range 0.001 0.999) in
@@ -209,7 +214,7 @@ let gen_valid_scenario =
   let* output_dir = opt (oneofl [ "out"; "results/x"; "o" ]) in
   return
     (Scenario.make ~problem ~size ~runs ~seed ~cores ~metric ?walk
-       ?iteration_cap ?timeout ?max_iters ?alpha ?candidates ~stages
+       ?timeout ?max_iters ?alpha ?candidates ~stages
        ?validate:validate_config ?output_dir ())
 
 (* Junk input for the error-path property: a soup of plausible-looking and
@@ -451,14 +456,28 @@ let test_engine_scenario_budget_censors () =
   | _ -> Alcotest.fail "expected the fully-censored campaign to be rejected"
 
 let test_engine_deterministic_across_ctx_pool () =
-  (* Same scenario, pool of 1 vs pool of 3: identical datasets. *)
-  let sc = small_scenario ~stages:[ Scenario.Campaign ] () in
-  let values domains =
-    Lv_exec.Pool.with_pool ~domains @@ fun pool ->
-    let ctx = Ctx.make ~pool () in
-    (Engine.run ~ctx sc).Engine.dataset.Lv_multiwalk.Dataset.values
+  (* Same scenario on a pool of 1, a pool of 3 and the serial pool:
+     identical datasets, fitted laws with their KS results, and predicted
+     curves. *)
+  let sc =
+    small_scenario ~stages:[ Scenario.Campaign; Scenario.Fit; Scenario.Predict ]
+      ()
   in
-  Alcotest.(check bool) "pool-size invariant" true (values 1 = values 3)
+  let results pool =
+    let o = Engine.run ~ctx:(Ctx.make ~pool ()) sc in
+    let fit = Option.get o.Engine.fit and p = Option.get o.Engine.prediction in
+    ( o.Engine.dataset.Lv_multiwalk.Dataset.values,
+      List.map
+        (fun (f : Lv_core.Fit.fitted) ->
+          (f.dist.Lv_stats.Distribution.params, f.ks))
+        fit.Lv_core.Fit.fits,
+      p.Lv_core.Predict.curve )
+  in
+  let on domains = Lv_exec.Pool.with_pool ~domains results in
+  let r1 = on 1 in
+  Alcotest.(check bool) "pool-size invariant" true (compare r1 (on 3) = 0);
+  Alcotest.(check bool) "pool 1 = serial" true
+    (compare r1 (results Lv_exec.Pool.serial) = 0)
 
 (* The artifact file names of a small campaign → fit → validate scenario,
    pinned: a refactor of how the engine builds its cache keys must not

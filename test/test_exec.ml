@@ -48,8 +48,14 @@ let test_deque_growth_and_high_water () =
 (* Pool basics                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Runs a contract test on a pool of [domains] workers and on the serial
+   pool, which must honour the same contract on the calling domain. *)
+let on_real_and_serial domains check =
+  Pool.with_pool ~domains check;
+  check Pool.serial
+
 let test_pool_map_preserves_order () =
-  Pool.with_pool ~domains:4 @@ fun p ->
+  on_real_and_serial 4 @@ fun p ->
   let xs = Array.init 500 Fun.id in
   let ys = Pool.parallel_map p (fun x -> x * x) xs in
   Array.iteri
@@ -63,24 +69,44 @@ let test_pool_sizing () =
   Pool.with_pool ~domains:3 @@ fun p ->
   Alcotest.(check int) "explicit size" 3 (Pool.size p);
   Alcotest.(check bool) "caller is not a worker" true
-    (Pool.worker_index () = None);
+    (Pool.worker_index p = None);
   let inside =
-    Pool.parallel_map p (fun _ -> Pool.worker_index ()) (Array.make 64 ())
+    Pool.parallel_map p
+      (fun _ -> (Pool.worker_index p, Pool.worker_index Pool.serial))
+      (Array.make 64 ())
   in
   Array.iter
     (function
-      | Some w ->
-        if w < 0 || w >= 3 then Alcotest.failf "worker index %d out of range" w
-      | None -> Alcotest.fail "task ran outside a worker")
+      | Some w, serial ->
+        if w < 0 || w >= 3 then Alcotest.failf "worker index %d out of range" w;
+        (* The serial pool's one slot is its caller, wherever that runs. *)
+        Alcotest.(check (option int)) "serial slot inside a worker" (Some 0)
+          serial
+      | None, _ -> Alcotest.fail "task ran outside a worker")
     inside;
+  Alcotest.(check int) "serial size" 1 (Pool.size Pool.serial);
+  Alcotest.(check (option int)) "serial slot on the caller" (Some 0)
+    (Pool.worker_index Pool.serial);
+  (* Shutting the shared serial value down must not affect later users. *)
+  Pool.shutdown Pool.serial;
+  Alcotest.(check int) "serial counts nothing" 0
+    (Pool.stats Pool.serial).Pool.tasks;
+  Alcotest.(check (array int)) "serial usable after shutdown" [| 2 |]
+    (Pool.parallel_map Pool.serial (fun x -> x + 1) [| 1 |]);
   Alcotest.check_raises "zero domains rejected"
     (Invalid_argument "Lv_exec.Pool.create: domains must be positive")
-    (fun () -> ignore (Pool.create ~domains:0 ()))
+    (fun () -> ignore (Pool.create ~domains:0 ()));
+  (* A shut-down pool rejects new work instead of queueing it forever. *)
+  let q = Pool.create ~domains:1 () in
+  Pool.shutdown q;
+  Alcotest.check_raises "map after shutdown"
+    (Invalid_argument "Lv_exec.Pool: pool is shut down") (fun () ->
+      ignore (Pool.parallel_map q Fun.id [| 1 |]))
 
 exception Task_failed of int
 
 let test_pool_exception_barrier () =
-  Pool.with_pool ~domains:2 @@ fun p ->
+  on_real_and_serial 2 @@ fun p ->
   let ran = Atomic.make 0 in
   (match
      Pool.parallel_map p
@@ -96,20 +122,9 @@ let test_pool_exception_barrier () =
   let ys = Pool.parallel_map p (fun x -> x + 1) (Array.init 50 Fun.id) in
   Alcotest.(check int) "pool alive after raise" 50 (Array.length ys);
   Alcotest.(check bool) "some tasks were skipped after the raise" true
-    (Atomic.get ran <= 100)
-
-let test_pool_submit_await () =
-  Pool.with_pool ~domains:2 @@ fun p ->
-  let a = Pool.submit p (fun () -> 6 * 7) in
-  let b = Pool.submit p (fun () -> raise (Task_failed 1)) in
-  Alcotest.(check int) "await value" 42 (Pool.await a);
-  (match Pool.await b with
-  | _ -> Alcotest.fail "await must re-raise"
-  | exception Task_failed 1 -> ());
-  Pool.shutdown p;
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Lv_exec.Pool: pool is shut down") (fun () ->
-      ignore (Pool.submit p (fun () -> ())))
+    (Atomic.get ran <= 100);
+  if p == Pool.serial then
+    Alcotest.(check int) "serial stops at the raise" 8 (Atomic.get ran)
 
 let test_pool_nested_map_no_deadlock () =
   (* A task that itself maps on the same pool must help execute queued
@@ -135,7 +150,7 @@ let test_pool_nested_map_no_deadlock () =
 (* ------------------------------------------------------------------ *)
 
 let test_cancel_preset_skips_everything () =
-  Pool.with_pool ~domains:2 @@ fun p ->
+  on_real_and_serial 2 @@ fun p ->
   let cancel = Cancel.create () in
   Cancel.set cancel;
   let ran = Atomic.make 0 in
@@ -156,7 +171,7 @@ let test_cancel_stops_in_flight_walkers () =
      one that set the token); on any pool size at most [workers] can be
      mid-flight when it is set, so with many more tasks than workers some
      skips must occur. *)
-  Pool.with_pool ~domains:2 @@ fun p ->
+  on_real_and_serial 2 @@ fun p ->
   let cancel = Cancel.create () in
   let ran = Atomic.make 0 in
   let n = 512 in
@@ -283,7 +298,9 @@ let test_campaign_identical_on_pool_sizes () =
   let v2 = Pool.with_pool ~domains:2 campaign_values in
   let v4 = Pool.with_pool ~domains:4 campaign_values in
   Alcotest.(check bool) "pool 1 = pool 2" true (v1 = v2);
-  Alcotest.(check bool) "pool 1 = pool 4" true (v1 = v4)
+  Alcotest.(check bool) "pool 1 = pool 4" true (v1 = v4);
+  Alcotest.(check bool) "pool 1 = serial" true
+    (v1 = campaign_values Pool.serial)
 
 let () =
   Alcotest.run "lv_exec"
@@ -299,7 +316,6 @@ let () =
           Alcotest.test_case "map preserves order" `Quick test_pool_map_preserves_order;
           Alcotest.test_case "sizing and worker index" `Quick test_pool_sizing;
           Alcotest.test_case "exception barrier" `Quick test_pool_exception_barrier;
-          Alcotest.test_case "submit/await" `Quick test_pool_submit_await;
           Alcotest.test_case "nested map, pool of one" `Quick
             test_pool_nested_map_no_deadlock;
         ] );

@@ -122,7 +122,8 @@ let test_dataset_synthetic () =
 (* ------------------------------------------------------------------ *)
 
 let queens_campaign ?(runs = 30) ?(domains = 1) () =
-  Lv_multiwalk.Campaign.run ~domains ~label:"queens-15" ~seed:100 ~runs (fun () ->
+  Lv_exec.Pool.with_pool ~domains @@ fun pool ->
+  Lv_multiwalk.Campaign.run ~pool ~label:"queens-15" ~seed:100 ~runs (fun () ->
       Lv_problems.Queens.pack 15)
 
 let test_campaign_basic () =
@@ -158,7 +159,8 @@ let test_campaign_dataset_identical_across_domains () =
   let sink = Lv_telemetry.Sink.memory () in
   let c1 = queens_campaign ~domains:1 () in
   let c4 =
-    Lv_multiwalk.Campaign.run ~domains:4 ~telemetry:sink ~label:"queens-15"
+    Lv_exec.Pool.with_pool ~domains:4 @@ fun pool ->
+    Lv_multiwalk.Campaign.run ~pool ~telemetry:sink ~label:"queens-15"
       ~seed:100 ~runs:30 (fun () -> Lv_problems.Queens.pack 15)
   in
   Alcotest.(check bool) "identical iterations datasets" true
@@ -220,6 +222,47 @@ let test_campaign_run_fn_generic () =
     (c.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values
     = c2.Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values)
 
+let test_campaign_no_pool_runs_on_caller () =
+  (* No pool means the calling domain: every run, and the runner's
+     creation, happen on [Domain.self ()] of the caller. *)
+  let caller = Domain.self () in
+  let domains = ref [] in
+  let c =
+    Lv_multiwalk.Campaign.run_fn ~label:"caller" ~seed:3 ~runs:12 (fun () ->
+        domains := Domain.self () :: !domains;
+        fun rng ->
+          domains := Domain.self () :: !domains;
+          let iterations = 1 + Lv_stats.Rng.int rng 100 in
+          { Lv_multiwalk.Run.seconds = 0.; iterations; solved = true })
+  in
+  Alcotest.(check int) "runs" 12
+    (List.length c.Lv_multiwalk.Campaign.observations);
+  Alcotest.(check int) "one runner creation plus one call per run" 13
+    (List.length !domains);
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "ran on the caller's domain" true (d = caller))
+    !domains
+
+let test_campaign_no_pool_inside_pool_task () =
+  (* A serial campaign nested in another pool's task keys its runner slot
+     on its own pool (slot 0), not on the outer pool's worker index, and
+     returns the same dataset as at top level. *)
+  let campaign () =
+    (Lv_multiwalk.Campaign.run ~label:"nested" ~seed:100 ~runs:12 (fun () ->
+         Lv_problems.Queens.pack 12))
+      .Lv_multiwalk.Campaign.iterations.Lv_multiwalk.Dataset.values
+  in
+  let top = campaign () in
+  let nested =
+    Lv_exec.Pool.with_pool ~domains:4 @@ fun pool ->
+    Lv_exec.Pool.parallel_map pool (fun _ -> campaign ()) (Array.make 8 ())
+  in
+  Array.iter
+    (fun v ->
+      Alcotest.(check bool) "nested dataset = top-level dataset" true (v = top))
+    nested
+
 exception Runner_failed of int
 
 let test_campaign_worker_exception_propagates () =
@@ -229,7 +272,8 @@ let test_campaign_worker_exception_propagates () =
      in-flight run first, so the campaign can also be re-run afterwards. *)
   let calls = Atomic.make 0 in
   let campaign ~boom () =
-    Lv_multiwalk.Campaign.run_fn ~domains:3 ~label:"boom" ~seed:1 ~runs:24
+    Lv_exec.Pool.with_pool ~domains:3 @@ fun pool ->
+    Lv_multiwalk.Campaign.run_fn ~pool ~label:"boom" ~seed:1 ~runs:24
       (fun () rng ->
         let n = Atomic.fetch_and_add calls 1 in
         if boom && n = 5 then raise (Runner_failed 42);
@@ -427,7 +471,8 @@ let test_campaign_retry_preserves_dataset () =
      campaign's dataset is *identical* to a fault-free one. *)
   let campaign ~faulty () =
     let calls = Atomic.make 0 in
-    Lv_multiwalk.Campaign.run_fn ~domains:3 ~retry:(fast_retry ~max_attempts:3)
+    Lv_exec.Pool.with_pool ~domains:3 @@ fun pool ->
+    Lv_multiwalk.Campaign.run_fn ~pool ~retry:(fast_retry ~max_attempts:3)
       ~label:"retry" ~seed:11 ~runs:20
       (fun () rng ->
         if faulty && Atomic.fetch_and_add calls 1 = 5 then failwith "transient";
@@ -547,7 +592,8 @@ let test_checkpoint_resume_byte_identical () =
       let log_d = tmp_log () in
       write_file log_d (first_5 ^ "\n");
       let resumed =
-        Lv_multiwalk.Campaign.run ~domains ~checkpoint:log_d ~label:"ck"
+        Lv_exec.Pool.with_pool ~domains @@ fun pool ->
+        Lv_multiwalk.Campaign.run ~pool ~checkpoint:log_d ~label:"ck"
           ~seed:400 ~runs make
       in
       Alcotest.(check int)
@@ -559,7 +605,8 @@ let test_checkpoint_resume_byte_identical () =
       (* The resumed campaign completed the log: resuming again restores
          everything and opens no writer. *)
       let again =
-        Lv_multiwalk.Campaign.run ~domains:1 ~checkpoint:log_d ~label:"ck"
+        Lv_exec.Pool.with_pool ~domains:1 @@ fun pool ->
+        Lv_multiwalk.Campaign.run ~pool ~checkpoint:log_d ~label:"ck"
           ~seed:400 ~runs make
       in
       Alcotest.(check int) "second resume restores all" runs
@@ -587,7 +634,8 @@ let test_checkpoint_survives_runner_crash () =
   in
   let log = tmp_log () in
   (match
-     Lv_multiwalk.Campaign.run_fn ~domains:2 ~checkpoint:log ~label:"crash"
+     Lv_exec.Pool.with_pool ~domains:2 @@ fun pool ->
+     Lv_multiwalk.Campaign.run_fn ~pool ~checkpoint:log ~label:"crash"
        ~seed:900 ~runs
        (runner ~boom:true (Atomic.make 0))
    with
@@ -597,7 +645,8 @@ let test_checkpoint_survives_runner_crash () =
   Alcotest.(check bool) "completed runs survived the crash" true (saved > 0);
   Alcotest.(check bool) "the crashed run did not" true (saved < runs);
   let resumed =
-    Lv_multiwalk.Campaign.run_fn ~domains:2 ~checkpoint:log ~label:"crash"
+    Lv_exec.Pool.with_pool ~domains:2 @@ fun pool ->
+    Lv_multiwalk.Campaign.run_fn ~pool ~checkpoint:log ~label:"crash"
       ~seed:900 ~runs
       (runner ~boom:false (Atomic.make 0))
   in
@@ -730,15 +779,27 @@ let test_race_iteration_metric_beats_singles_on_average () =
   Alcotest.(check bool) "multi-walk gains" true (!raced < !single)
 
 let test_race_wall_clock () =
-  let o =
-    Lv_multiwalk.Race.wall_clock ~seed:29 ~walkers:2 (fun () ->
+  let race pool =
+    Lv_multiwalk.Race.wall_clock ~pool ~seed:29 ~walkers:2 (fun () ->
         Lv_problems.Queens.pack 15)
   in
-  Alcotest.(check bool) "solved" true o.Lv_multiwalk.Race.solved;
-  (match o.Lv_multiwalk.Race.winner with
-  | Some w -> Alcotest.(check bool) "winner in range" true (w >= 0 && w < 2)
-  | None -> Alcotest.fail "no winner");
-  Alcotest.(check bool) "winner iterations positive" true (o.Lv_multiwalk.Race.min_iterations > 0)
+  let check o =
+    Alcotest.(check bool) "solved" true o.Lv_multiwalk.Race.solved;
+    (match o.Lv_multiwalk.Race.winner with
+    | Some w -> Alcotest.(check bool) "winner in range" true (w >= 0 && w < 2)
+    | None -> Alcotest.fail "no winner");
+    Alcotest.(check bool) "winner iterations positive" true
+      (o.Lv_multiwalk.Race.min_iterations > 0)
+  in
+  (* Two worker domains: the walkers race concurrently and the loser is
+     stopped through the winner flag. *)
+  check (Lv_exec.Pool.with_pool ~domains:2 race);
+  (* Serial: walker 0 runs alone to a solution, and the cancel token then
+     skips walker 1. *)
+  let o = race Lv_exec.Pool.serial in
+  check o;
+  Alcotest.(check (option int)) "serial winner is walker 0" (Some 0)
+    o.Lv_multiwalk.Race.winner
 
 let test_race_validation () =
   Alcotest.check_raises "zero walkers"
@@ -797,6 +858,10 @@ let () =
             test_campaign_dataset_identical_across_domains;
           Alcotest.test_case "progress hook" `Quick test_campaign_progress_called;
           Alcotest.test_case "generic runner" `Quick test_campaign_run_fn_generic;
+          Alcotest.test_case "no pool runs on the caller" `Quick
+            test_campaign_no_pool_runs_on_caller;
+          Alcotest.test_case "no pool inside a pool task" `Quick
+            test_campaign_no_pool_inside_pool_task;
           Alcotest.test_case "worker exception propagates" `Quick
             test_campaign_worker_exception_propagates;
           Alcotest.test_case "argument validation" `Quick test_campaign_rejects_bad_args;

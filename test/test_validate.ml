@@ -132,7 +132,8 @@ let test_bands_pool_size_invariant () =
     Validate.bootstrap_bands ~pool ~replicates:64 ~seed:12 ~cores ~report xs
   in
   let serial =
-    Validate.bootstrap_bands ~replicates:64 ~seed:12 ~cores ~report xs
+    Validate.bootstrap_bands ~pool:Lv_exec.Pool.serial ~replicates:64
+      ~seed:12 ~cores ~report xs
   in
   List.iter
     (fun domains ->
@@ -313,13 +314,13 @@ let test_oracle_recovers_every_family () =
 let test_oracle_pool_invariant () =
   let truth = Exponential.create ~rate:1. in
   let run pool =
-    Validate.oracle ?pool ~replicates:30 ~trials:12 ~seed:31 ~cores ~runs:50
+    Validate.oracle ~pool ~replicates:30 ~trials:12 ~seed:31 ~cores ~runs:50
       ~candidate:Fit.Exponential ~truth ()
   in
-  let serial = run None in
+  let serial = run Lv_exec.Pool.serial in
   Lv_exec.Pool.with_pool ~domains:8 (fun pool ->
       Alcotest.(check bool) "pool of 8 = serial" true
-        (compare (run (Some pool)) serial = 0))
+        (compare (run pool) serial = 0))
 
 let test_oracle_validation () =
   let truth = Exponential.create ~rate:1. in
@@ -543,14 +544,16 @@ let test_engine_validate_pool_invariant () =
   (* Same scenario through pools of 1 and 8: byte-identical reports,
      the engine-level acceptance bar. *)
   let sc = small_scenario ~trials:4 () in
-  let report domains =
-    Lv_exec.Pool.with_pool ~domains @@ fun pool ->
+  let report pool =
     let ctx = Ctx.make ~pool () in
     match (Engine.run ~ctx sc).Engine.validation with
     | Some v -> render v
     | None -> Alcotest.fail "no validation report"
   in
-  Alcotest.(check string) "pool 1 = pool 8" (report 1) (report 8)
+  let on domains = Lv_exec.Pool.with_pool ~domains report in
+  let r1 = on 1 in
+  Alcotest.(check string) "pool 1 = pool 8" r1 (on 8);
+  Alcotest.(check string) "pool 1 = serial" r1 (report Lv_exec.Pool.serial)
 
 let test_engine_validate_output_csv () =
   let out = tmp_dir () in
