@@ -8,9 +8,9 @@
     plain [?pool] / [?telemetry] arguments. *)
 
 type t = {
-  pool : Lv_exec.Pool.t option;
-      (** executor shared by every parallel phase; [None] = every stage
-          runs on the calling domain ({!Lv_exec.Pool.serial}) *)
+  pool : Lv_exec.Pool.t;
+      (** executor shared by every parallel phase; default
+          {!Lv_exec.Pool.serial}: every stage runs on the calling domain *)
   telemetry : Lv_telemetry.Sink.t;  (** default: the null sink *)
   cache_dir : string option;
       (** directory for the content-addressed artifact store
@@ -18,7 +18,7 @@ type t = {
 }
 
 val default : t
-(** No pool override, null telemetry, no cache. *)
+(** The serial pool, null telemetry, no cache. *)
 
 val make :
   ?pool:Lv_exec.Pool.t ->

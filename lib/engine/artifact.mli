@@ -12,10 +12,14 @@
     ⇒ a different key ⇒ a clean recompute, never a stale read.
 
     Lookups are counted and, with a live telemetry sink, published as
-    running ["engine.cache.hit"] / ["engine.cache.miss"] counters.  Writes
-    are atomic (temp file + rename), and an artifact that fails to load
-    (torn write, foreign file) is treated as a miss and silently
-    recomputed — the cache can never make a run fail. *)
+    running ["engine.cache.hit"] / ["engine.cache.miss"] counters.  A stage
+    either goes through {!with_cache} (atomic temp-file + rename writes) or
+    keeps its own artifact and reports each lookup with {!count}: the
+    campaign stage does the latter, its artifact being the append-only
+    {!Lv_multiwalk.Checkpoint} log that [Campaign.run] itself restores and
+    extends.  Either way an artifact that fails to load (torn write,
+    foreign or corrupt file) is treated as a miss and recomputed — the
+    cache never makes a run fail, for the campaign too. *)
 
 type t
 
@@ -39,6 +43,12 @@ val path : t -> stage:string -> key:string -> ext:string -> string
 val hits : t -> int
 val misses : t -> int
 (** Lookup counters since {!create}. *)
+
+val count : t -> hit:bool -> unit
+(** Record one lookup as a hit or a miss: bumps {!hits} or {!misses} and,
+    with a live sink, emits the running counter.  {!with_cache} calls it
+    itself; a stage that manages its own artifact calls it once per
+    lookup. *)
 
 val with_cache :
   t ->

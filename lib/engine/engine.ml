@@ -79,80 +79,44 @@ let validate_key (sc : Scenario.t) (cfg : Validate.config) =
 (* Campaign stage: the artifact IS the checkpoint run-log.             *)
 (* ------------------------------------------------------------------ *)
 
-let result_of_observations ~label observations =
-  {
-    Campaign.observations;
-    iterations = Dataset.of_observations ~label ~metric:`Iterations observations;
-    seconds = Dataset.of_observations ~label ~metric:`Seconds observations;
-    n_censored =
-      List.length
-        (List.filter (fun o -> not o.Lv_multiwalk.Run.solved) observations);
-    n_retried = 0;
-    n_restored = List.length observations;
-  }
-
-let load_campaign ~seed ~runs ~label file =
-  let entries = Checkpoint.load file in
-  if List.length entries <> runs then
-    failwith "campaign artifact: incomplete run-log";
-  let slots = Array.make runs None in
-  List.iter
-    (fun (e : Checkpoint.entry) ->
-      if e.run < 0 || e.run >= runs then
-        failwith "campaign artifact: run index out of range";
-      if e.seed <> seed + e.run then
-        failwith "campaign artifact: seed mismatch";
-      slots.(e.run) <- Some (Checkpoint.observation_of_entry e))
-    entries;
-  let observations =
-    Array.to_list
-      (Array.map
-         (function
-           | Some o -> o | None -> failwith "campaign artifact: missing run")
-         slots)
-  in
-  result_of_observations ~label observations
-
-let save_campaign ~seed (c : Campaign.result) tmp =
-  Checkpoint.with_writer tmp (fun w ->
-      List.iteri
-        (fun i o ->
-          Checkpoint.append w
-            (Checkpoint.entry_of_observation ~run:i ~seed:(seed + i) o))
-        c.Campaign.observations)
-
 let run_campaign (ctx : Ctx.t) store (sc : Scenario.t) =
-  let params = Scenario.params sc in
-  let budget =
-    match (sc.Scenario.timeout, sc.Scenario.max_iters) with
-    | None, None -> None
-    | max_seconds, max_iterations ->
-      Some (Lv_multiwalk.Run.budget ?max_seconds ?max_iterations ())
-  in
   let make =
     match Lv_problems.Registry.find sc.Scenario.problem with
     | Some f -> fun () -> f sc.Scenario.size
     | None -> failwith ("engine: unknown problem " ^ sc.Scenario.problem)
   in
-  let label = sc.Scenario.name
-  and seed = sc.Scenario.seed
-  and runs = sc.Scenario.runs in
   let execute ?checkpoint () =
-    Campaign.run ?pool:ctx.Ctx.pool ~telemetry:ctx.Ctx.telemetry ~params
-      ?budget ?checkpoint ~label ~seed ~runs make
+    Campaign.run ~pool:ctx.Ctx.pool ~telemetry:ctx.Ctx.telemetry
+      ~params:(Scenario.params sc)
+      ~budget:
+        (Lv_multiwalk.Run.budget ?max_seconds:sc.Scenario.timeout
+           ?max_iterations:sc.Scenario.max_iters ())
+      ?checkpoint ~label:sc.Scenario.name ~seed:sc.Scenario.seed
+      ~runs:sc.Scenario.runs make
   in
   match store with
   | None -> execute ()
   | Some t ->
-    let key = campaign_key sc in
-    (* The in-progress campaign checkpoints straight into the artifact
-       path: a crash mid-campaign leaves a partial run-log that fails the
-       completeness check (a miss), and the recompute resumes from it. *)
-    let file = Artifact.path t ~stage:"campaign" ~key ~ext:"jsonl" in
-    Artifact.with_cache t ~stage:"campaign" ~key ~ext:"jsonl"
-      ~load:(load_campaign ~seed ~runs ~label)
-      ~save:(save_campaign ~seed)
-      (fun () -> execute ~checkpoint:file ())
+    (* The campaign checkpoints straight into the artifact path: a complete
+       log restores every run (a hit), a partial one left by a crash
+       resumes (a miss).  A log that fails to load is not a crash artifact
+       and must not fail the run: delete it and recompute.  Only that
+       failure is caught; it is told apart from a runner's [Failure] by
+       loading the log again, which the warm path never does. *)
+    let file =
+      Artifact.path t ~stage:"campaign" ~key:(campaign_key sc) ~ext:"jsonl"
+    in
+    let rejected () =
+      match Checkpoint.load file with _ -> false | exception Failure _ -> true
+    in
+    let c =
+      try execute ~checkpoint:file ()
+      with Failure _ when rejected () ->
+        Sys.remove file;
+        execute ~checkpoint:file ()
+    in
+    Artifact.count t ~hit:(c.Campaign.n_restored = sc.Scenario.runs);
+    c
 
 (* ------------------------------------------------------------------ *)
 (* Fit stage: JSON artifact, laws rebuilt with [Fit.instantiate].      *)
@@ -255,21 +219,12 @@ let report_of_json j =
     best;
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
+let load_json file =
+  Json.of_string (In_channel.with_open_bin file In_channel.input_all)
 
 let run_fit (ctx : Ctx.t) store (sc : Scenario.t) (ds : Dataset.t) =
   let compute () =
-    Fit.fit ?pool:ctx.Ctx.pool ~telemetry:ctx.Ctx.telemetry
+    Fit.fit ~pool:ctx.Ctx.pool ~telemetry:ctx.Ctx.telemetry
       ?alpha:sc.Scenario.alpha ?candidates:sc.Scenario.candidates
       ~n_censored:(Dataset.n_censored ds)
       ds.Dataset.values
@@ -279,9 +234,11 @@ let run_fit (ctx : Ctx.t) store (sc : Scenario.t) (ds : Dataset.t) =
   | Some t ->
     let key = fit_key sc in
     Artifact.with_cache t ~stage:"fit" ~key ~ext:"json"
-      ~load:(fun file -> report_of_json (Json.of_string (read_file file)))
+      ~load:(fun file -> report_of_json (load_json file))
       ~save:(fun report tmp ->
-        write_file tmp (Json.to_string (json_of_report report) ^ "\n"))
+        Out_channel.with_open_bin tmp (fun oc ->
+            Out_channel.output_string oc
+              (Json.to_string (json_of_report report) ^ "\n")))
       compute
 
 (* ------------------------------------------------------------------ *)
@@ -291,7 +248,7 @@ let run_fit (ctx : Ctx.t) store (sc : Scenario.t) (ds : Dataset.t) =
 let run_validate (ctx : Ctx.t) store (sc : Scenario.t) (cfg : Validate.config)
     (ds : Dataset.t) (report : Fit.report) =
   let compute () =
-    Validate.run ?pool:ctx.Ctx.pool ~telemetry:ctx.Ctx.telemetry
+    Validate.run ~pool:ctx.Ctx.pool ~telemetry:ctx.Ctx.telemetry
       ?alpha:sc.Scenario.alpha ?candidates:sc.Scenario.candidates ~config:cfg
       ~seed:sc.Scenario.seed ~cores:sc.Scenario.cores ~label:sc.Scenario.name
       ~report ds.Dataset.values
@@ -301,10 +258,8 @@ let run_validate (ctx : Ctx.t) store (sc : Scenario.t) (cfg : Validate.config)
   | Some t ->
     let key = validate_key sc cfg in
     Artifact.with_cache t ~stage:"validate" ~key ~ext:"json"
-      ~load:(fun file -> Validate.of_json (Json.of_string (read_file file)))
-      ~save:(fun r tmp ->
-        write_file tmp (Json.to_string (Validate.to_json r) ^ "\n"))
-      compute
+      ~load:(fun file -> Validate.of_json (load_json file))
+      ~save:Validate.save_json compute
 
 (* ------------------------------------------------------------------ *)
 (* The pipeline                                                        *)
@@ -355,7 +310,7 @@ let run ?(ctx = Ctx.default) (sc : Scenario.t) =
     stage Scenario.Predict (fun () ->
         match fit with
         | Some report ->
-          Predict.of_report ?pool:ctx.Ctx.pool ~telemetry
+          Predict.of_report ~pool:ctx.Ctx.pool ~telemetry
             ~label:sc.Scenario.name ~cores:sc.Scenario.cores report
         | None -> invalid_arg "Engine.run: predict stage without fit stage")
   in

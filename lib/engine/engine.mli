@@ -14,22 +14,28 @@
     {2 Caching}
 
     With [ctx.cache_dir] set, the expensive stages are served from an
-    {!Artifact} store: the campaign artifact is the {!Lv_multiwalk.Checkpoint}
-    run-log itself (so a crashed engine run resumes where it stopped, and a
-    completed one is a pure cache hit), the fit artifact is a JSON rendering
-    of the report (laws are rebuilt with {!Lv_core.Fit.instantiate}), and
-    the validation artifact is the {!Lv_validate.Validate.to_json} report
-    (keyed on the fit key plus the validation config, cores and seed).  Cache
-    keys hash the scenario fields each stage consumes, so changing any of
-    them recomputes; the pool and sink never enter a key.  Lookups surface
-    as ["engine.cache.hit"] / ["engine.cache.miss"] telemetry counters and
-    in the outcome.
+    {!Artifact} store.  The campaign stage is exactly
+    [Campaign.run ~checkpoint:<artifact path>]: its artifact is the
+    append-only {!Lv_multiwalk.Checkpoint} run-log, restored and extended
+    by the campaign itself.  A log that restores every run is a hit; a
+    partial one (a crashed engine run) is a miss that resumes where it
+    stopped; a log {!Lv_multiwalk.Checkpoint.load} rejects is deleted and
+    recomputed, also one miss.  The fit artifact is a JSON rendering of the
+    report (laws are rebuilt with {!Lv_core.Fit.instantiate}), and the
+    validation artifact is the {!Lv_validate.Validate.to_json} report
+    (keyed on the fit key plus the validation config, cores and seed); both
+    are written atomically (temp file + rename).  Cache keys hash the
+    scenario fields each stage consumes, so changing any of them
+    recomputes; the pool and sink never enter a key.  Lookups surface as
+    ["engine.cache.hit"] / ["engine.cache.miss"] telemetry counters and in
+    the outcome.
 
     {2 Telemetry}
 
     The whole run wraps in an ["engine"] span; each executed stage emits
     one ["engine/engine.stage"] span (field [stage]), timed whether it was
-    computed or restored from cache. *)
+    computed or restored from cache.  The campaign's own ["campaign"] span
+    is emitted on a cache hit too, with [restored = runs]. *)
 
 type outcome = {
   scenario : Scenario.t;  (** as executed (problem name canonicalized) *)
@@ -53,13 +59,14 @@ type outcome = {
 
 val run : ?ctx:Lv_context.Context.t -> Scenario.t -> outcome
 (** Execute the scenario under the context (default
-    {!Lv_context.Context.default}: no pool, so every stage runs on the
-    calling domain; null telemetry; no cache).  Deterministic for a given
-    scenario: datasets and predictions are byte-identical whatever the
-    pool size and whether stages were computed or served from cache.
+    {!Lv_context.Context.default}: the serial pool, so every stage runs on
+    the calling domain; null telemetry; no cache).  Deterministic for a
+    given scenario: datasets and predictions are byte-identical whatever
+    the pool size and whether stages were computed or served from cache.
     Raises [Failure] / [Invalid_argument] on an invalid scenario, and
-    lets stage exceptions propagate (nothing half-written: artifact and
-    output writes are atomic). *)
+    lets stage exceptions propagate.  Nothing is left half-written: a
+    later run resumes from whatever a crash left in the append-only
+    campaign log, and the other artifact and output writes are atomic. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** Human-readable digest: dataset summary, fit verdict, prediction curve,

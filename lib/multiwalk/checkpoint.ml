@@ -45,42 +45,44 @@ let of_json j =
 
 let of_line line = of_json (Lv_telemetry.Json.of_string line)
 
+(* A line is in the log once its newline is written: [append] writes the
+   newline last, in the same flush, so the only thing a crash can leave is
+   an unterminated tail.  [load] ignores that tail and [with_writer] cuts
+   it off; a bad line that did get its newline is corruption, wherever it
+   is in the file. *)
 let load path =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> []
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let lines = ref [] in
-        let lineno = ref 0 in
-        (try
-           while true do
-             let l = input_line ic in
-             incr lineno;
-             if String.length (String.trim l) > 0 then lines := (!lineno, l) :: !lines
-           done
-         with End_of_file -> ());
-        let lines = Array.of_list (List.rev !lines) in
-        let n = Array.length lines in
-        let entries = ref [] in
-        Array.iteri
-          (fun i (lineno, line) ->
-            match of_line line with
-            | e -> entries := e :: !entries
-            | exception Lv_telemetry.Json.Parse_error msg ->
-              (* A torn *final* line is the expected artifact of a crash
-                 mid-append and is dropped; a bad line with entries after
-                 it means the file is corrupt and must not be trusted. *)
-              if i < n - 1 then
-                failwith
-                  (Printf.sprintf "Checkpoint.load: %s:%d: %s" path lineno msg))
-          lines;
-        List.rev !entries)
+  | contents ->
+    let lines = String.split_on_char '\n' contents in
+    let n = List.length lines in
+    List.concat
+      (List.mapi
+         (fun i line ->
+           if i = n - 1 || String.trim line = "" then []
+           else
+             match of_line line with
+             | e -> [ e ]
+             | exception Lv_telemetry.Json.Parse_error msg ->
+               failwith
+                 (Printf.sprintf "Checkpoint.load: %s:%d: %s" path (i + 1) msg))
+         lines)
 
 type writer = { oc : out_channel; wlock : Mutex.t }
 
+(* Appending after a torn tail would glue the next entry onto it and turn
+   it into mid-file corruption: cut the file back to its last newline. *)
+let drop_torn_tail path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> ()
+  | contents ->
+    let keep =
+      match String.rindex_opt contents '\n' with Some i -> i + 1 | None -> 0
+    in
+    if keep < String.length contents then Unix.truncate path keep
+
 let with_writer path f =
+  drop_torn_tail path;
   let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path in
   let w = { oc; wlock = Mutex.create () } in
   Fun.protect ~finally:(fun () -> close_out w.oc) (fun () -> f w)

@@ -32,7 +32,7 @@ let check_fails name f =
 
 let test_context_defaults () =
   let c = Ctx.default in
-  Alcotest.(check bool) "no pool" true (c.Ctx.pool = None);
+  Alcotest.(check bool) "serial pool" true (c.Ctx.pool == Lv_exec.Pool.serial);
   Alcotest.(check bool) "null telemetry" true
     (Lv_telemetry.Sink.is_null c.Ctx.telemetry);
   Alcotest.(check bool) "no cache" true (c.Ctx.cache_dir = None);
@@ -421,6 +421,54 @@ let test_engine_cache_second_run_free () =
   Alcotest.(check int) "dataset+prediction written" 2
     (List.length o1.Engine.outputs)
 
+(* Rewrite the cached campaign run-log of [cache] through [edit] (its
+   lines in, new lines out), then rerun the scenario against the cache:
+   whatever [edit] did, the outputs must equal the cold run's. *)
+let rerun_with_edited_log ~edit =
+  let cache = tmp_dir () in
+  let out1 = tmp_dir () and out2 = tmp_dir () in
+  let ctx = Ctx.make ~cache_dir:cache () in
+  let run out = Engine.run ~ctx (small_scenario ~output_dir:out ()) in
+  let o1 = run out1 in
+  let log =
+    match
+      List.filter
+        (fun f -> String.starts_with ~prefix:"campaign-" f)
+        (Array.to_list (Sys.readdir cache))
+    with
+    | [ f ] -> Filename.concat cache f
+    | _ -> Alcotest.fail "expected one campaign artifact"
+  in
+  let lines =
+    List.filter (( <> ) "") (String.split_on_char '\n' (read_file log))
+  in
+  Out_channel.with_open_bin log (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) (edit lines));
+  let o2 = run out2 in
+  Alcotest.(check int) "campaign missed" 1 o2.Engine.cache_misses;
+  Alcotest.(check int) "fit hit" 1 o2.Engine.cache_hits;
+  List.iter2
+    (fun (_, p1) (k, p2) ->
+      Alcotest.(check string) ("identical " ^ k) (read_file p1) (read_file p2))
+    o1.Engine.outputs o2.Engine.outputs;
+  (* Whatever the second run left behind is a complete, clean log. *)
+  let o3 = run (tmp_dir ()) in
+  Alcotest.(check int) "third run: all hits" 2 o3.Engine.cache_hits;
+  o2
+
+let test_engine_corrupt_campaign_log_recomputed () =
+  let o =
+    rerun_with_edited_log
+      ~edit:(List.mapi (fun i l -> if i = 4 then "garbage" else l))
+  in
+  Alcotest.(check int) "nothing restored from a corrupt log" 0
+    o.Engine.campaign.Lv_multiwalk.Campaign.n_restored
+
+let test_engine_partial_campaign_log_resumes () =
+  let o = rerun_with_edited_log ~edit:(List.filteri (fun i _ -> i < 5)) in
+  Alcotest.(check int) "resumed from the first 5 runs" 5
+    o.Engine.campaign.Lv_multiwalk.Campaign.n_restored
+
 let test_engine_cache_key_sensitivity () =
   let cache = tmp_dir () in
   let ctx = Ctx.make ~cache_dir:cache () in
@@ -538,6 +586,10 @@ let () =
           Alcotest.test_case "stage subset" `Quick test_engine_stage_subset;
           Alcotest.test_case "second run served from cache" `Quick
             test_engine_cache_second_run_free;
+          Alcotest.test_case "corrupt campaign log recomputed" `Quick
+            test_engine_corrupt_campaign_log_recomputed;
+          Alcotest.test_case "partial campaign log resumes" `Quick
+            test_engine_partial_campaign_log_resumes;
           Alcotest.test_case "cache key sensitivity" `Quick
             test_engine_cache_key_sensitivity;
           Alcotest.test_case "scenario budget censors" `Quick

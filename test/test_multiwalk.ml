@@ -587,10 +587,17 @@ let test_checkpoint_resume_byte_identical () =
     |> List.filteri (fun i _ -> i < 5)
     |> String.concat "\n"
   in
+  (* The other logs also end in a line torn by a crash mid-append, cut
+     mid-entry or just before its newline: the resume must drop it and
+     leave a log that loads cleanly again. *)
+  let torn = first_5 ^ "\n{\"run\":7,\"se" in
+  let unterminated =
+    first_5 ^ "\n" ^ List.nth (String.split_on_char '\n' full_log) 5
+  in
   List.iter
-    (fun domains ->
+    (fun (domains, contents) ->
       let log_d = tmp_log () in
-      write_file log_d (first_5 ^ "\n");
+      write_file log_d contents;
       let resumed =
         Lv_exec.Pool.with_pool ~domains @@ fun pool ->
         Lv_multiwalk.Campaign.run ~pool ~checkpoint:log_d ~label:"ck"
@@ -614,7 +621,13 @@ let test_checkpoint_resume_byte_identical () =
       Alcotest.(check string) "still byte-identical" reference
         (iterations_csv again);
       Sys.remove log_d)
-    [ 1; 4 ];
+    [
+      (1, first_5 ^ "\n");
+      (4, first_5 ^ "\n");
+      (1, torn);
+      (4, torn);
+      (1, unterminated);
+    ];
   Sys.remove log
 
 let test_checkpoint_survives_runner_crash () =
