@@ -17,7 +17,6 @@
    Environment knobs:
      LV_BENCH_RUNS=N    sequential runs per campaign   (default 400)
      LV_BENCH_FAST=1    shortcut: 120 runs and smaller instances
-     LV_BENCH_MICRO=0   skip the bechamel micro-benchmarks
      LV_BENCH_CACHE=DIR serve unchanged campaigns from the engine's
                         artifact store in DIR (an interrupted run resumes
                         its campaigns, a repeated run skips them)
@@ -35,28 +34,9 @@ let getenv_int name default =
 
 let fast = Sys.getenv_opt "LV_BENCH_FAST" = Some "1"
 let runs = getenv_int "LV_BENCH_RUNS" (if fast then 120 else 400)
-let micro = Sys.getenv_opt "LV_BENCH_MICRO" <> Some "0"
 
 let paper_cores = Paper_data.cores
 let fc = Report.float_cell
-
-(* Every top-level phase and campaign records into this sink; the run ends
-   by aggregating it into BENCH_telemetry.json (phase timings, run counts,
-   solve rates) so a reference run leaves a machine-readable record next to
-   the human-readable EXPERIMENTS.md. *)
-let telemetry = Lv_telemetry.Sink.memory ()
-let phase name f = Lv_telemetry.Span.run telemetry ~name f
-
-let write_telemetry_summary path =
-  let report =
-    Lv_telemetry.Report.of_events (Lv_telemetry.Sink.events telemetry)
-  in
-  let oc = open_out path in
-  output_string oc (Lv_telemetry.Json.to_string (Lv_telemetry.Report.to_json report));
-  output_char oc '\n';
-  close_out oc;
-  printf "@.telemetry summary written to %s (%d events)@." path
-    report.Lv_telemetry.Report.events
 
 (* ------------------------------------------------------------------ *)
 (* The three scaled benchmarks                                         *)
@@ -104,8 +84,7 @@ let problems =
    unchanged is restored from the artifact store instead of re-executed,
    making repeated reference runs incremental. *)
 let engine_ctx =
-  Lv_context.Context.make ~telemetry
-    ?cache_dir:(Sys.getenv_opt "LV_BENCH_CACHE") ()
+  Lv_context.Context.make ?cache_dir:(Sys.getenv_opt "LV_BENCH_CACHE") ()
 
 let engine_campaign ~label ~problem ~size ~seed ~runs ?walk ~max_iters () =
   let scenario =
@@ -654,187 +633,23 @@ let ttt_diagnostics campaigns =
     campaigns
 
 (* ------------------------------------------------------------------ *)
-(* Pooled vs serial: the same fit+predict pipeline on a pool of 1 and  *)
-(* a pool of recommended size                                          *)
-(* ------------------------------------------------------------------ *)
-
-let pool_vs_serial () =
-  print_string
-    (Report.section "pooled vs serial fit+predict (Lv_exec.Pool)");
-  let rng = Lv_stats.Rng.create ~seed:4242 in
-  let ds =
-    Lv_multiwalk.Dataset.synthetic ~label:"pool-vs-serial"
-      (Paper_data.fitted_law Paper_data.MS200) ~rng 650
-  in
-  let cores = [ 2; 4; 8; 16; 32; 64; 128; 256 ] in
-  let reps = 3 in
-  let time domains =
-    Lv_exec.Pool.with_pool ~domains @@ fun pool ->
-    let t0 = Lv_telemetry.Clock.now_ns () in
-    let last = ref None in
-    for _ = 1 to reps do
-      last := Some (Predict.of_dataset ~pool ~cores ds)
-    done;
-    ( Lv_telemetry.Clock.seconds_between ~start:t0
-        ~stop:(Lv_telemetry.Clock.now_ns ()),
-      Option.get !last )
-  in
-  let pooled_domains = Domain.recommended_domain_count () in
-  let serial_s, serial_p = time 1 in
-  let pooled_s, pooled_p = time pooled_domains in
-  let identical =
-    List.for_all2
-      (fun (a : Speedup.point) (b : Speedup.point) ->
-        a.Speedup.cores = b.Speedup.cores
-        && a.Speedup.speedup = b.Speedup.speedup)
-      serial_p.Predict.curve pooled_p.Predict.curve
-  in
-  (* One span per variant so both wall-clocks land as phases in
-     BENCH_telemetry.json, plus a summary event with the ratio. *)
-  Lv_telemetry.Span.emit telemetry ~name:"serial" ~duration:serial_s
-    ~fields:[ ("domains", Lv_telemetry.Json.Int 1) ]
-    ();
-  Lv_telemetry.Span.emit telemetry ~name:"pooled" ~duration:pooled_s
-    ~fields:[ ("domains", Lv_telemetry.Json.Int pooled_domains) ]
-    ();
-  Lv_telemetry.Span.emit telemetry ~name:"summary"
-    ~fields:
-      [
-        ("serial_s", Lv_telemetry.Json.Float serial_s);
-        ("pooled_s", Lv_telemetry.Json.Float pooled_s);
-        ("pooled_domains", Lv_telemetry.Json.Int pooled_domains);
-        ( "speedup",
-          Lv_telemetry.Json.Float
-            (if pooled_s > 0. then serial_s /. pooled_s else 1.) );
-        ("identical_curves", Lv_telemetry.Json.Bool identical);
-      ]
-    ();
-  let header = [ "variant"; "domains"; "wall (s)"; "vs serial" ] in
-  let rows =
-    [
-      [ "serial"; "1"; Printf.sprintf "%.3f" serial_s; "1.00x" ];
-      [
-        "pooled";
-        string_of_int pooled_domains;
-        Printf.sprintf "%.3f" pooled_s;
-        Printf.sprintf "%.2fx"
-          (if pooled_s > 0. then serial_s /. pooled_s else 1.);
-      ];
-    ]
-  in
-  print_string
-    (Report.table
-       ~title:
-         (Printf.sprintf "%d x fit+predict, %d observations, %d core counts%s"
-            reps 650 (List.length cores)
-            (if identical then "" else "  [CURVES DIVERGE]"))
-       ~header ~rows);
-  if not identical then
-    printf "WARNING: pooled and serial predictions differ!@."
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per table/figure kernel              *)
-(* ------------------------------------------------------------------ *)
-
-let micro_benchmarks () =
-  print_string
-    (Report.section "bechamel micro-benchmarks (one kernel per table/figure)");
-  let open Bechamel in
-  let ds_pool =
-    let rng = Lv_stats.Rng.create ~seed:99 in
-    Lv_multiwalk.Dataset.synthetic ~label:"pool"
-      (Lv_stats.Exponential.create ~rate:1e-5)
-      ~rng 650
-  in
-  let emp = Lv_multiwalk.Dataset.empirical ds_pool in
-  let lognormal = Paper_data.fitted_law Paper_data.MS200 in
-  let exp_cdf = (Lv_stats.Exponential.create ~rate:1e-5).Lv_stats.Distribution.cdf in
-  let solver_kernel pack =
-    Staged.stage (fun () ->
-        let params =
-          { Lv_search.Params.default with Lv_search.Params.max_iterations = 200 }
-        in
-        let rng = Lv_stats.Rng.create ~seed:1 in
-        ignore (Lv_search.Adaptive_search.solve_packed ~params ~rng (pack ())))
-  in
-  let tests =
-    [
-      Test.make ~name:"fig1-2-4:min_dist_pdf"
-        (Staged.stage (fun () -> ignore (Min_dist.pdf lognormal ~n:100 50_000.)));
-      Test.make ~name:"fig3:speedup_closed_form"
-        (Staged.stage (fun () ->
-             ignore
-               (Speedup.exponential_curve ~x0:100. ~rate:0.001 ~cores:paper_cores)));
-      Test.make ~name:"fig5-11:speedup_quadrature"
-        (Staged.stage (fun () -> ignore (Speedup.at lognormal ~cores:64)));
-      Test.make ~name:"table1-2:as_kernel_ms10"
-        (solver_kernel (fun () -> Lv_problems.Magic_square.pack 10));
-      Test.make ~name:"table1-2:as_kernel_ai18"
-        (solver_kernel (fun () -> Lv_problems.All_interval.pack 18));
-      Test.make ~name:"table1-2:as_kernel_costas14"
-        (solver_kernel (fun () -> Lv_problems.Costas.pack 14));
-      Test.make ~name:"table3-4:plugin_min_650x256"
-        (Staged.stage (fun () ->
-             ignore (Lv_stats.Empirical.expected_min_exact emp 256)));
-      Test.make ~name:"fig8-10-12:ks_test_650"
-        (Staged.stage (fun () ->
-             ignore (Lv_stats.Kolmogorov.test ds_pool.Lv_multiwalk.Dataset.values exp_cdf)));
-      Test.make ~name:"table5:predict_5_core_counts"
-        (Staged.stage (fun () ->
-             ignore
-               (Speedup.curve (Paper_data.fitted_law Paper_data.AI700) ~cores:paper_cores)));
-      Test.make ~name:"fig14:plugin_min_8192"
-        (Staged.stage (fun () ->
-             ignore (Lv_stats.Empirical.expected_min_exact emp 8192)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let header = [ "kernel"; "ns/run" ] in
-  let rows =
-    List.map
-      (fun test ->
-        let name = Test.Elt.name (List.hd (Test.elements test)) in
-        let results = Benchmark.all cfg instances test in
-        let ols =
-          Analyze.all
-            (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-            Toolkit.Instance.monotonic_clock results
-        in
-        let estimate =
-          Hashtbl.fold
-            (fun _ v acc ->
-              match Analyze.OLS.estimates v with Some [ e ] -> e | _ -> acc)
-            ols 0.
-        in
-        [ name; Printf.sprintf "%.0f" estimate ])
-      tests
-  in
-  print_string (Report.table ~title:"kernel timings (OLS ns per run)" ~header ~rows)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   printf "Las Vegas multi-walk speed-up prediction — reproduction harness@.";
   printf "(runs per campaign: %d%s)@." runs (if fast then ", fast mode" else "");
-  phase "fig1" fig1;
-  phase "fig2_3" fig2_3;
-  phase "fig4_5" fig4_5;
+  fig1 ();
+  fig2_3 ();
+  fig4_5 ();
   print_string (Report.section "Sequential campaigns (the paper's Section 5.4)");
-  let campaigns =
-    phase "campaigns" (fun () -> List.map (fun p -> (p, campaign_of p)) problems)
-  in
-  phase "table1_2" (fun () -> table1_2 campaigns);
-  phase "table3_4" (fun () -> table3_4 campaigns);
-  let predictions = phase "fit_and_figures" (fun () -> fit_and_figures campaigns) in
-  phase "table5" (fun () -> table5 predictions);
-  phase "fig14" fig14;
-  phase "ttt" (fun () -> ttt_diagnostics campaigns);
-  phase "ablation_observations" (fun () -> ablation_observations campaigns);
-  phase "ablation_family" (fun () -> ablation_family campaigns);
-  phase "ablation_shift" (fun () -> ablation_shift campaigns);
-  phase "ablation_solver_params" ablation_solver_params;
-  phase "pool_vs_serial" pool_vs_serial;
-  if micro then phase "micro_benchmarks" micro_benchmarks;
-  write_telemetry_summary "BENCH_telemetry.json";
+  let campaigns = List.map (fun p -> (p, campaign_of p)) problems in
+  table1_2 campaigns;
+  table3_4 campaigns;
+  let predictions = fit_and_figures campaigns in
+  table5 predictions;
+  fig14 ();
+  ttt_diagnostics campaigns;
+  ablation_observations campaigns;
+  ablation_family campaigns;
+  ablation_shift campaigns;
+  ablation_solver_params ();
   printf "@.done.@."

@@ -37,12 +37,12 @@ let int_at_least lo what =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= lo -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%S is not a %s integer" s what))
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a %s" s what))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let positive_int = int_at_least 1 "positive"
-let nonnegative_int = int_at_least 0 "non-negative"
+let positive_int = int_at_least 1 "positive integer"
+let nonnegative_int = int_at_least 0 "non-negative integer"
 
 let problem_arg =
   Arg.(
@@ -59,10 +59,13 @@ let seed_arg =
 let runs_arg =
   Arg.(value & opt positive_int 200 & info [ "runs"; "r" ] ~docv:"N" ~doc:"Number of runs.")
 
+(* The element message names the long flag: cmdliner reports the flag as
+   typed, which is often the bare [-k]. *)
 let cores_arg =
   Arg.(
     value
-    & opt (list int) [ 16; 32; 64; 128; 256 ]
+    & opt (list (int_at_least 1 "positive core count (--cores)"))
+        [ 16; 32; 64; 128; 256 ]
     & info [ "cores"; "k" ] ~docv:"K,K,..." ~doc:"Core counts to evaluate.")
 
 let walk_arg =
@@ -75,7 +78,7 @@ let walk_arg =
 let max_iter_arg =
   Arg.(
     value
-    & opt int 0
+    & opt nonnegative_int 0
     & info [ "max-iterations" ] ~docv:"N"
         ~doc:"Iteration budget per run (0 = unlimited).")
 

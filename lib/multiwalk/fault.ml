@@ -43,5 +43,3 @@ let maybe_inject () =
     Mutex.unlock lock;
     if u < r then raise (Injected (Atomic.fetch_and_add injected 1))
   end
-
-let injected_count () = Atomic.get injected

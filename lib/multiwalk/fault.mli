@@ -22,6 +22,3 @@ val maybe_inject : unit -> unit
 (** Raise {!Injected} with probability [LVP_FAULT_RATE]; no-op when unset.
     Safe from any domain (the decision stream is mutex-shared).  Raises
     [Invalid_argument] if the environment variables are malformed. *)
-
-val injected_count : unit -> int
-(** Faults injected so far in this process. *)

@@ -82,7 +82,7 @@ let shift d x0 =
   else begin
     let lo, hi = d.support in
     {
-      name = (if x0 <> 0. then "shifted-" ^ d.name else d.name);
+      name = "shifted-" ^ d.name;
       params = ("x0", x0) :: d.params;
       support = (lo +. x0, (if Float.is_finite hi then hi +. x0 else hi));
       pdf = (fun x -> d.pdf (x -. x0));
@@ -95,7 +95,6 @@ let shift d x0 =
   end
 
 let numeric_mean d = numeric_mean_of ~support:d.support ~pdf:d.pdf ~cdf:d.cdf
-let numeric_quantile d p = numeric_quantile_of ~support:d.support ~cdf:d.cdf p
 let sample_array d rng n = Array.init n (fun _ -> d.sample rng)
 
 let pp ppf d =

@@ -45,9 +45,6 @@ val numeric_mean : t -> float
 (** Mean by quadrature of [t·pdf t] over the support (used to cross-check
     closed forms in tests). *)
 
-val numeric_quantile : t -> float -> float
-(** Quantile by root finding on the CDF, regardless of any closed form. *)
-
 val sample_array : t -> Rng.t -> int -> float array
 (** [sample_array d rng n] draws [n] i.i.d. samples. *)
 

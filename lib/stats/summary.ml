@@ -65,10 +65,6 @@ let quantile xs p =
 
 let median xs = quantile xs 0.5
 
-let coefficient_of_variation xs =
-  let m = mean xs in
-  if m = 0. then nan else std xs /. m
-
 let of_array xs =
   check_nonempty "Summary.of_array" xs;
   let n = Array.length xs in

@@ -1,7 +1,8 @@
 (* Tests for the prediction core: the multi-walk transform against closed
    forms and Monte Carlo, speed-up curves against the paper's published
    values (Table 5 regression), the fitting pipeline on synthetic data, the
-   end-to-end prediction, and the paper-data module itself. *)
+   end-to-end prediction, the paper-data module itself, and the TTT
+   diagnostics. *)
 
 open Lv_stats
 open Lv_core
@@ -590,6 +591,99 @@ let test_report_speedup_series () =
   Alcotest.(check bool) "mentions title" true (String.length s > 5)
 
 (* ------------------------------------------------------------------ *)
+(* Fit.instantiate                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_instantiate_roundtrip () =
+  (* Fitting then instantiating from the fitted parameters rebuilds the same
+     law. *)
+  let rng = Lv_stats.Rng.create ~seed:5 in
+  let xs =
+    Lv_stats.Distribution.sample_array (Lv_stats.Lognormal.create ~mu:3. ~sigma:0.8) rng 500
+  in
+  match Fit.fit_one Fit.Lognormal xs with
+  | Some f ->
+    let rebuilt = Fit.instantiate Fit.Lognormal f.Fit.dist.Lv_stats.Distribution.params in
+    Alcotest.(check (float 1e-9)) "same mean" f.Fit.dist.Lv_stats.Distribution.mean
+      rebuilt.Lv_stats.Distribution.mean
+  | None -> Alcotest.fail "lognormal fit failed"
+
+let test_instantiate_all_families () =
+  List.iter
+    (fun (c, params) ->
+      let d = Fit.instantiate c params in
+      Alcotest.(check bool)
+        (Fit.candidate_name c ^ " cdf sane")
+        true
+        (d.Lv_stats.Distribution.cdf 1e12 > 0.99))
+    [
+      (Fit.Exponential, [ ("lambda", 0.01) ]);
+      (Fit.Shifted_exponential, [ ("x0", 5.); ("lambda", 0.01) ]);
+      (Fit.Lognormal, [ ("mu", 2.); ("sigma", 1.) ]);
+      (Fit.Shifted_lognormal, [ ("x0", 3.); ("mu", 2.); ("sigma", 1.) ]);
+      (Fit.Normal, [ ("mu", 0.); ("sigma", 1.) ]);
+      (Fit.Weibull, [ ("shape", 1.5); ("scale", 10.) ]);
+      (Fit.Gamma, [ ("shape", 2.); ("rate", 0.1) ]);
+      (Fit.Levy, [ ("c", 1.) ]);
+    ]
+
+let test_instantiate_missing_param () =
+  match Fit.instantiate Fit.Exponential [] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "missing lambda accepted"
+
+(* ------------------------------------------------------------------ *)
+(* Ttt                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_ttt_points () =
+  let pts = Ttt.points [| 30.; 10.; 20. |] in
+  Alcotest.(check int) "count" 3 (List.length pts);
+  (match pts with
+  | [ a; b; c ] ->
+    Alcotest.(check (float 1e-12)) "sorted first" 10. a.Ttt.runtime;
+    Alcotest.(check (float 1e-12)) "sorted last" 30. c.Ttt.runtime;
+    Alcotest.(check (float 1e-12)) "plotting position 1" (0.5 /. 3.) a.Ttt.probability;
+    Alcotest.(check (float 1e-12)) "plotting position 2" (1.5 /. 3.) b.Ttt.probability
+  | _ -> Alcotest.fail "shape");
+  match Ttt.points [||] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "empty accepted"
+
+let test_ttt_rejects_non_finite () =
+  (* Regression: under the polymorphic compare a NaN landed at an
+     unspecified rank and scrambled the cumulative-probability axis instead
+     of being reported. *)
+  let reject name xs =
+    match Ttt.points xs with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s sample accepted" name
+  in
+  reject "NaN" [| 1.; Float.nan; 3. |];
+  reject "+inf" [| Float.infinity |];
+  reject "-inf" [| 1.; Float.neg_infinity |]
+
+let test_ttt_qq_straight_for_true_law () =
+  let law = Lv_stats.Exponential.create ~rate:0.01 in
+  let rng = Lv_stats.Rng.create ~seed:21 in
+  let xs = Lv_stats.Distribution.sample_array law rng 500 in
+  let r = Ttt.qq_correlation xs law in
+  Alcotest.(check bool) "high correlation for the true law" true (r > 0.98)
+
+let test_ttt_qq_bent_for_wrong_law () =
+  let law = Lv_stats.Lognormal.create ~mu:3. ~sigma:1.5 in
+  let rng = Lv_stats.Rng.create ~seed:23 in
+  let xs = Lv_stats.Distribution.sample_array law rng 500 in
+  let wrong = Lv_stats.Uniform.create ~lo:0. ~hi:(2. *. Lv_stats.Summary.mean xs) in
+  let r_true = Ttt.qq_correlation xs law in
+  let r_wrong = Ttt.qq_correlation xs wrong in
+  Alcotest.(check bool) "true law straighter" true (r_true > r_wrong)
+
+let test_ttt_render () =
+  let s = Ttt.render (Array.init 100 (fun i -> float_of_int (i + 1))) in
+  Alcotest.(check bool) "has content" true (String.length s > 100)
+
+(* ------------------------------------------------------------------ *)
 (* qcheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -696,6 +790,20 @@ let () =
           Alcotest.test_case "table alignment" `Quick test_report_table_alignment;
           Alcotest.test_case "float cells" `Quick test_report_float_cell;
           Alcotest.test_case "series" `Quick test_report_speedup_series;
+        ] );
+      ( "instantiate",
+        [
+          Alcotest.test_case "round-trip" `Quick test_instantiate_roundtrip;
+          Alcotest.test_case "all families" `Quick test_instantiate_all_families;
+          Alcotest.test_case "missing parameter" `Quick test_instantiate_missing_param;
+        ] );
+      ( "ttt",
+        [
+          Alcotest.test_case "points" `Quick test_ttt_points;
+          Alcotest.test_case "non-finite rejected" `Quick test_ttt_rejects_non_finite;
+          Alcotest.test_case "Q-Q straight for true law" `Quick test_ttt_qq_straight_for_true_law;
+          Alcotest.test_case "Q-Q bent for wrong law" `Quick test_ttt_qq_bent_for_wrong_law;
+          Alcotest.test_case "render" `Quick test_ttt_render;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
