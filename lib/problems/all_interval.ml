@@ -55,40 +55,46 @@ let var_error t i =
   if i < t.n - 1 then e := !e + surplus t (abs (t.x.(i) - t.x.(i + 1)));
   !e
 
+(* Append difference index [k] to the first [m] entries of the scratch
+   unless it is out of range or already there; returns the new count. *)
+let add_affected t m k =
+  let buf = t.scratch_idx in
+  if k < 0 || k > t.n - 2 then m
+  else begin
+    let dup = ref false in
+    for s = 0 to m - 1 do
+      if buf.(s) = k then dup := true
+    done;
+    if !dup then m
+    else begin
+      buf.(m) <- k;
+      m + 1
+    end
+  end
+
 (* The (at most four) difference indices whose value changes when positions
    [i] and [j] are swapped; writes them into the scratch and returns how
    many. *)
 let affected t i j =
-  let buf = t.scratch_idx in
-  let m = ref 0 in
-  let add k =
-    if k >= 0 && k <= t.n - 2 then begin
-      let dup = ref false in
-      for s = 0 to !m - 1 do
-        if buf.(s) = k then dup := true
-      done;
-      if not !dup then begin
-        buf.(!m) <- k;
-        incr m
-      end
-    end
-  in
-  add (i - 1);
-  add i;
-  add (j - 1);
-  add j;
-  !m
+  let m = add_affected t 0 (i - 1) in
+  let m = add_affected t m i in
+  let m = add_affected t m (j - 1) in
+  add_affected t m j
+
+(* Value at position [k] once positions [i] and [j] are swapped. *)
+let value_after_swap t i j k =
+  if k = i then t.x.(j) else if k = j then t.x.(i) else t.x.(k)
 
 (* Shared simulate/commit: walk the affected differences, remove the old
    values from [counts] and add the new ones, tracking the cost delta.  When
-   not committing, the count updates are rolled back before returning. *)
+   not committing, the count updates are rolled back before returning.
+   Called n - 1 times per solver iteration, so it allocates nothing. *)
 let eval_swap t i j ~commit =
-  let value_at k = if k = i then t.x.(j) else if k = j then t.x.(i) else t.x.(k) in
   let m = affected t i j in
   for s = 0 to m - 1 do
     let k = t.scratch_idx.(s) in
     t.scratch_old.(s) <- abs (t.x.(k) - t.x.(k + 1));
-    t.scratch_new.(s) <- abs (value_at k - value_at (k + 1))
+    t.scratch_new.(s) <- abs (value_after_swap t i j k - value_after_swap t i j (k + 1))
   done;
   let delta = ref 0 in
   for s = 0 to m - 1 do

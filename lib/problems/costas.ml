@@ -75,6 +75,27 @@ let create n =
 
 let var_error t i = t.err.(i)
 
+(* Append pair (a, a + d) to the first [m] scratch entries unless it falls
+   outside the array or is already there; returns the new count.  The four
+   candidates of a row can collide (e.g. j = i + d), and the ones already
+   added for this [d] are the last entries, so only those are checked. *)
+let add_pair t m d a =
+  if a < 0 || a + d >= t.n then m
+  else begin
+    let dup = ref false in
+    let s = ref (m - 1) in
+    while (not !dup) && !s >= 0 && t.pair_d.(!s) = d do
+      if t.pair_a.(!s) = a then dup := true;
+      decr s
+    done;
+    if !dup then m
+    else begin
+      t.pair_a.(m) <- a;
+      t.pair_d.(m) <- d;
+      m + 1
+    end
+  end
+
 (* Collect the difference-triangle entries that change when positions [i]
    and [j] swap: for each row [d], the pairs with a left endpoint in
    {i-d, i, j-d, j} that are valid and involve i or j.  Returns the number
@@ -82,37 +103,24 @@ let var_error t i = t.err.(i)
 let collect_affected t i j =
   let m = ref 0 in
   for d = 1 to t.n - 1 do
-    let add a =
-      if a >= 0 && a + d < t.n then begin
-        (* A pair is identified by (a, d); the four candidates can collide
-           (e.g. j = i + d), so check the ones already added for this d. *)
-        let dup = ref false in
-        let s = ref (!m - 1) in
-        while (not !dup) && !s >= 0 && t.pair_d.(!s) = d do
-          if t.pair_a.(!s) = a then dup := true;
-          decr s
-        done;
-        if not !dup then begin
-          t.pair_a.(!m) <- a;
-          t.pair_d.(!m) <- d;
-          incr m
-        end
-      end
-    in
-    add (i - d);
-    add i;
-    add (j - d);
-    add j
+    m := add_pair t !m d (i - d);
+    m := add_pair t !m d i;
+    m := add_pair t !m d (j - d);
+    m := add_pair t !m d j
   done;
   !m
 
+(* Value at position [k] once positions [i] and [j] are swapped. *)
+let value_after_swap t i j k =
+  if k = i then t.x.(j) else if k = j then t.x.(i) else t.x.(k)
+
+(* Called n - 1 times per solver iteration, so it allocates nothing. *)
 let eval_swap t i j ~commit =
-  let value_at k = if k = i then t.x.(j) else if k = j then t.x.(i) else t.x.(k) in
   let m = collect_affected t i j in
   for s = 0 to m - 1 do
     let a = t.pair_a.(s) and d = t.pair_d.(s) in
     t.old_v.(s) <- t.x.(a + d) - t.x.(a);
-    t.new_v.(s) <- value_at (a + d) - value_at a
+    t.new_v.(s) <- value_after_swap t i j (a + d) - value_after_swap t i j a
   done;
   let delta = ref 0 in
   for s = 0 to m - 1 do

@@ -75,35 +75,31 @@ let var_error t i =
   if on_anti t i then e := !e + abs (t.anti_sum - t.magic);
   !e
 
-(* Cost change from moving value difference [d] into cell [j] and out of
-   cell [i] (i.e. swapping): only lines containing exactly one of the two
-   cells change their sum. *)
+(* Cost change of a line whose sum moves from [sum_before] by [delta]. *)
+let line_delta t sum_before delta =
+  abs (sum_before + delta - t.magic) - abs (sum_before - t.magic)
+
+(* Cost after swapping cells [i] and [j]: the value difference [d] moves
+   into every line through [i] and out of every line through [j]; a line
+   through both keeps its sum.  Called n² - 1 times per solver iteration,
+   so it allocates nothing. *)
 let cost_after_swap t i j =
   if i = j then t.cost
   else begin
     let d = t.x.(j) - t.x.(i) in
-    (* d is added to every line through i and subtracted from every line
-       through j; a line through both is unchanged. *)
-    let adjust sum_before delta acc =
-      acc - abs (sum_before - t.magic) + abs (sum_before + delta - t.magic)
-    in
     let acc = ref t.cost in
     let ri = row t i and rj = row t j in
     let ci = col t i and cj = col t j in
-    if ri <> rj then begin
-      acc := adjust t.row_sum.(ri) d !acc;
-      acc := adjust t.row_sum.(rj) (-d) !acc
-    end;
-    if ci <> cj then begin
-      acc := adjust t.col_sum.(ci) d !acc;
-      acc := adjust t.col_sum.(cj) (-d) !acc
-    end;
+    if ri <> rj then
+      acc := !acc + line_delta t t.row_sum.(ri) d + line_delta t t.row_sum.(rj) (-d);
+    if ci <> cj then
+      acc := !acc + line_delta t t.col_sum.(ci) d + line_delta t t.col_sum.(cj) (-d);
     let di = on_diag t i and dj = on_diag t j in
-    if di && not dj then acc := adjust t.diag_sum d !acc
-    else if dj && not di then acc := adjust t.diag_sum (-d) !acc;
+    if di && not dj then acc := !acc + line_delta t t.diag_sum d
+    else if dj && not di then acc := !acc + line_delta t t.diag_sum (-d);
     let ai = on_anti t i and aj = on_anti t j in
-    if ai && not aj then acc := adjust t.anti_sum d !acc
-    else if aj && not ai then acc := adjust t.anti_sum (-d) !acc;
+    if ai && not aj then acc := !acc + line_delta t t.anti_sum d
+    else if aj && not ai then acc := !acc + line_delta t t.anti_sum (-d);
     !acc
   end
 

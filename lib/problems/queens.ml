@@ -48,29 +48,35 @@ let var_error t i =
   let u = t.x.(i) + i and d = t.x.(i) - i + t.n - 1 in
   surplus t.up.(u) + surplus t.down.(d)
 
+(* Take one queen off diagonal counter [a.(k)] / put one on; each returns
+   the change in cost. *)
+let remove a k =
+  let c = a.(k) in
+  a.(k) <- c - 1;
+  if c > 1 then -1 else 0
+
+let add a k =
+  let c = a.(k) in
+  a.(k) <- c + 1;
+  if c >= 1 then 1 else 0
+
+(* Remove both queens' diagonals, add them back swapped, track the cost
+   change.  Called n - 1 times per solver iteration, so it allocates
+   nothing. *)
 let eval_swap t i j ~commit =
-  (* Remove both queens' diagonals, add them back swapped, track delta. *)
-  let delta = ref 0 in
-  let remove a k =
-    if a.(k) > 1 then decr delta;
-    a.(k) <- a.(k) - 1
-  and add a k =
-    if a.(k) >= 1 then incr delta;
-    a.(k) <- a.(k) + 1
-  in
   let ui = t.x.(i) + i and di = t.x.(i) - i + t.n - 1 in
   let uj = t.x.(j) + j and dj = t.x.(j) - j + t.n - 1 in
   let ui' = t.x.(j) + i and di' = t.x.(j) - i + t.n - 1 in
   let uj' = t.x.(i) + j and dj' = t.x.(i) - j + t.n - 1 in
-  remove t.up ui;
-  remove t.up uj;
-  remove t.down di;
-  remove t.down dj;
-  add t.up ui';
-  add t.up uj';
-  add t.down di';
-  add t.down dj';
-  let new_cost = t.cost + !delta in
+  let r1 = remove t.up ui in
+  let r2 = remove t.up uj in
+  let r3 = remove t.down di in
+  let r4 = remove t.down dj in
+  let a1 = add t.up ui' in
+  let a2 = add t.up uj' in
+  let a3 = add t.down di' in
+  let a4 = add t.down dj' in
+  let new_cost = t.cost + r1 + r2 + r3 + r4 + a1 + a2 + a3 + a4 in
   if commit then begin
     t.cost <- new_cost;
     let tmp = t.x.(i) in
@@ -78,16 +84,15 @@ let eval_swap t i j ~commit =
     t.x.(j) <- tmp
   end
   else begin
-    remove t.up ui';
-    remove t.up uj';
-    remove t.down di';
-    remove t.down dj';
-    add t.up ui;
-    add t.up uj;
-    add t.down di;
-    add t.down dj;
-    (* The remove/add bookkeeping above touched [delta]; the counts are what
-       matters for rollback and they are now restored. *)
+    (* Roll the counts back; the cost changes are not needed. *)
+    ignore (remove t.up ui');
+    ignore (remove t.up uj');
+    ignore (remove t.down di');
+    ignore (remove t.down dj');
+    ignore (add t.up ui);
+    ignore (add t.up uj);
+    ignore (add t.down di);
+    ignore (add t.down dj)
   end;
   new_cost
 

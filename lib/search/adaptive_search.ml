@@ -26,6 +26,7 @@ module Make (P : Csp.PROBLEM) = struct
     mutable frozen_until : int array;  (* iteration until which var i is tabu *)
     mutable n_frozen : int;
     candidates : int array;            (* scratch for tie-breaking *)
+    mutable partner_cost : int;        (* cost after the last chosen swap *)
   }
 
   let fresh_config st rng = Lv_stats.Rng.permutation rng st.n
@@ -60,7 +61,9 @@ module Make (P : Csp.PROBLEM) = struct
     if !n_ties = 0 then -1
     else st.candidates.(Lv_stats.Rng.int rng !n_ties)
 
-  (* Best swap partner for the culprit by min-conflict; ties uniform. *)
+  (* Best swap partner for the culprit by min-conflict; ties uniform.  The
+     cost after that swap is left in [st.partner_cost] (no tuple, so the
+     loop does not allocate). *)
   let select_partner st inst rng culprit =
     let best_cost = ref max_int and n_ties = ref 0 in
     for j = 0 to st.n - 1 do
@@ -77,7 +80,8 @@ module Make (P : Csp.PROBLEM) = struct
         end
       end
     done;
-    (st.candidates.(Lv_stats.Rng.int rng !n_ties), !best_cost)
+    st.partner_cost <- !best_cost;
+    st.candidates.(Lv_stats.Rng.int rng !n_ties)
 
   (* Partial reset: reshuffle the values held by a random subset of
      positions, clear every freeze. *)
@@ -95,20 +99,29 @@ module Make (P : Csp.PROBLEM) = struct
   let solve ?(params = Params.default) ?(stop = fun () -> false) ~rng inst =
     let n = P.size inst in
     let params = Params.validate ~n_vars:n params in
-    let st = { n; frozen_until = Array.make n 0; n_frozen = 0; candidates = Array.make n 0 } in
+    let st =
+      {
+        n;
+        frozen_until = Array.make n 0;
+        n_frozen = 0;
+        candidates = Array.make n 0;
+        partner_cost = max_int;
+      }
+    in
     P.set_config inst (fresh_config st rng);
     let iter = ref 0 in
     let swaps = ref 0 and plateau = ref 0 and locmin = ref 0 in
     let resets = ref 0 and restarts = ref 0 in
     let since_restart = ref 0 in
     let best_cost = ref (P.cost inst) in
-    let outcome = ref None in
-    while !outcome = None do
+    let running = ref true in
+    while !running do
       let cost = P.cost inst in
       if cost < !best_cost then best_cost := cost;
-      if cost = 0 then outcome := Some (Solved (Array.copy (P.config inst)))
-      else if !iter >= params.Params.max_iterations || ((!iter land 1023) = 0 && stop ())
-      then outcome := Some (Exhausted !best_cost)
+      if cost = 0
+         || !iter >= params.Params.max_iterations
+         || ((!iter land 1023) = 0 && stop ())
+      then running := false
       else begin
         incr iter;
         incr since_restart;
@@ -128,7 +141,8 @@ module Make (P : Csp.PROBLEM) = struct
             incr resets
           end
           else begin
-            let partner, new_cost = select_partner st inst rng culprit in
+            let partner = select_partner st inst rng culprit in
+            let new_cost = st.partner_cost in
             if new_cost < cost then begin
               P.do_swap inst culprit partner;
               incr swaps
@@ -157,7 +171,9 @@ module Make (P : Csp.PROBLEM) = struct
         end
       end
     done;
-    let outcome = Option.get !outcome in
+    let outcome =
+      if P.cost inst = 0 then Solved (Array.copy (P.config inst)) else Exhausted !best_cost
+    in
     {
       outcome;
       stats =

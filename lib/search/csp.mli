@@ -30,14 +30,20 @@ module type PROBLEM = sig
 
   val var_error : t -> int -> int
   (** Projected error of variable [i] ≥ 0: the solver repairs the variable
-      with the largest error (Adaptive Search's "culprit" selection). *)
+      with the largest error (Adaptive Search's "culprit" selection).  Called
+      for every variable each iteration; must not allocate. *)
 
   val cost_after_swap : t -> int -> int -> int
   (** Total cost the configuration would have after swapping positions [i]
-      and [j].  Must not change observable state. *)
+      and [j].  Must not change observable state.  The solver calls it for
+      every candidate partner, n - 1 times per iteration, so it must not
+      allocate: no closures, refs captured by closures, tuples or boxed
+      numbers on this path. *)
 
   val do_swap : t -> int -> int -> unit
-  (** Swap positions [i] and [j] and update incremental state. *)
+  (** Swap positions [i] and [j] and update incremental state.  Called once
+      per iteration that moves; like {!cost_after_swap} it must not
+      allocate. *)
 
   val is_solution : t -> bool
   (** Independent full check of the current configuration — deliberately

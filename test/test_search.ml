@@ -141,6 +141,44 @@ let test_solves_every_problem () =
       ("number-partitioning", fun () -> Lv_problems.Partition.pack 24);
     ]
 
+(* The inner loop ([var_error], [cost_after_swap], [do_swap], the RNG
+   draws) must not allocate: a campaign is millions of iterations, and in
+   OCaml 5 every minor collection stops all domains.  What remains per
+   iteration is restarts, resets and the result, amortised over the run.
+   Bytecode boxes every int64 and float, so only native code is held to
+   this. *)
+let test_inner_loop_allocation () =
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun (name, pack) ->
+        let size =
+          List.assoc name
+            [
+              ("all-interval", 13);
+              ("magic-square", 10);
+              ("costas-array", 12);
+              ("n-queens", 30);
+              ("number-partitioning", 24);
+            ]
+        in
+        let params =
+          { (Lv_problems.Defaults.params name size) with Params.max_iterations = 200_000 }
+        in
+        let words = ref 0. and iters = ref 0 in
+        for seed = 1 to 3 do
+          let packed = pack size in
+          let rng = Lv_stats.Rng.create ~seed in
+          let w0 = Gc.minor_words () in
+          let r = Adaptive_search.solve_packed ~params ~rng packed in
+          words := !words +. (Gc.minor_words () -. w0);
+          iters := !iters + Adaptive_search.iterations r
+        done;
+        let per_iter = !words /. float_of_int !iters in
+        if per_iter > 32. then
+          Alcotest.failf "%s %d: %.1f minor words per iteration (%d iterations), limit 32"
+            name size per_iter !iters)
+      Lv_problems.Registry.all
+
 let test_final_instance_state_matches_outcome () =
   (* After a Solved outcome the instance must hold that configuration. *)
   let packed = Lv_problems.Costas.pack 10 in
@@ -224,6 +262,7 @@ let () =
           Alcotest.test_case "stats consistency" `Quick test_stats_consistency;
           Alcotest.test_case "solves every problem" `Quick test_solves_every_problem;
           Alcotest.test_case "final state matches outcome" `Quick test_final_instance_state_matches_outcome;
+          Alcotest.test_case "inner loop allocation" `Quick test_inner_loop_allocation;
           Alcotest.test_case "functor = packed" `Quick test_functor_and_packed_agree;
         ] );
       ( "defaults",

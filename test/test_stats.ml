@@ -207,13 +207,40 @@ let test_rng_determinism () =
   let c = Rng.create ~seed:124 in
   Alcotest.(check bool) "different seeds differ" true (Rng.bits64 a <> Rng.bits64 c)
 
-let test_rng_copy_split () =
-  let a = Rng.create ~seed:5 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy tracks" (Rng.bits64 a) (Rng.bits64 b);
-  let c = Rng.split a in
-  Alcotest.(check bool) "split differs from parent" true (Rng.bits64 a <> Rng.bits64 c)
+(* Known answers: the stream every campaign, dataset and digest rests on.
+   Any rewrite of the generator must reproduce these draws exactly. *)
+let test_rng_known_answers () =
+  let check_bits seed expected =
+    let rng = Rng.create ~seed in
+    List.iteri
+      (fun i w ->
+        Alcotest.(check int64) (Printf.sprintf "seed %d bits64 %d" seed i) w (Rng.bits64 rng))
+      expected
+  in
+  check_bits 0
+    [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L; 0x6aa594f1262d2d2cL;
+      0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL; 0x6c160deed2f54c98L; 0x8920ad648fc30a3fL ];
+  check_bits 123
+    [ 0x325a8fa1d1a069f9L; 0xf835e3c7656d4d5eL; 0x77aa2b46c3f2a62fL; 0x20820299aacf8206L;
+      0x5678d8b3959d78deL; 0xfff9ebf85a29286aL; 0x60c2239b44f8751bL; 0xa81a0a579d7e1a55L ];
+  let rng = Rng.create ~seed:7 in
+  List.iteri
+    (fun i k -> Alcotest.(check int) (Printf.sprintf "int 13 draw %d" i) k (Rng.int rng 13))
+    [ 3; 3; 12; 1; 3; 10; 1; 6 ];
+  let check_floats label draw expected =
+    List.iteri
+      (fun i x ->
+        Alcotest.(check int64)
+          (Printf.sprintf "%s draw %d" label i)
+          (Int64.bits_of_float x)
+          (Int64.bits_of_float (draw rng)))
+      expected
+  in
+  check_floats "uniform" Rng.uniform
+    [ 0x1.9d653e5b2b22p-2; 0x1.36eb5d000c7p-3; 0x1.152e2245ac3ecp-1; 0x1.76b61e7123e53p-1;
+      0x1.e0c019551aeb1p-1; 0x1.c2fedefd1598fp-1; 0x1.ce40f4150367p-2; 0x1.1f2b8c2203096p-1 ];
+  check_floats "normal" Rng.normal
+    [ -0x1.ab9043786fd34p+0; -0x1.088cef0d25c93p+0; 0x1.e01d8eac9abc1p-1; 0x1.7d2e3647ab026p-2 ]
 
 let test_rng_uniform_range () =
   let rng = Rng.create ~seed:7 in
@@ -1407,7 +1434,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
-          Alcotest.test_case "copy and split" `Quick test_rng_copy_split;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
           Alcotest.test_case "uniform range" `Quick test_rng_uniform_range;
           Alcotest.test_case "int uniformity" `Quick test_rng_int_uniformity;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
